@@ -14,10 +14,11 @@
 //!   values are lower bounds of final yields, so a member that could still
 //!   win (or tie with priority) is never abandoned — the winner and its
 //!   yield are identical whatever the thread count or scheduling;
-//! * **per-worker scratch** ([`crate::vp::PackScratch`] and friends): sort
-//!   keys, yield-scaled item tables, bin/item permutations and packing
-//!   state are allocated once per worker and reused across all members it
-//!   claims, so steady-state probes allocate nothing;
+//! * **per-worker scratch** ([`crate::vp::PackScratch`] and friends):
+//!   yield-scaled item tables, memoised item orders and packing state are
+//!   allocated once per worker and reused across all members it claims,
+//!   so steady-state probes allocate nothing and members probing the same
+//!   yield under the same item sort share one sort;
 //! * a **budget/deadline**: an optional wall-clock budget after which
 //!   members stop at the next probe boundary and the engine returns the
 //!   best result found so far (best-effort anytime behaviour; determinism

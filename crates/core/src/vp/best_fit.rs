@@ -34,31 +34,23 @@ impl PackingHeuristic for BestFit {
         let dims = vp.dims();
         let PackScratch {
             loads,
-            items,
-            sort_keys,
+            orders,
+            scores,
             placement,
             ..
         } = scratch;
-        self.item_sort.order_into(vp, items, sort_keys);
+        let items = orders.order(vp, self.item_sort);
         loads.clear();
         loads.resize(vp.num_bins() * dims, 0.0);
         placement.reset(vp.num_items());
-        for &j in items.iter() {
-            let mut best: Option<(usize, f64)> = None; // (bin, score) higher wins
-            for h in 0..vp.num_bins() {
-                if !vp.fits(j, h, loads) {
-                    continue;
-                }
-                let score = if self.heterogeneous {
-                    // Most-full = least remaining capacity.
-                    let remaining: f64 = (0..dims)
-                        .map(|d| vp.instance.nodes()[h].aggregate[d] - loads[h * dims + d])
-                        .sum();
-                    -remaining
-                } else {
-                    (0..dims).map(|d| loads[h * dims + d]).sum()
-                };
-                if best.map(|(_, s)| score > s).unwrap_or(true) {
+        // One score per bin (higher wins); only the bin that receives an
+        // item changes, so only its score is recomputed.
+        scores.clear();
+        scores.extend((0..vp.num_bins()).map(|h| self.score(vp, h, loads)));
+        for &j in items {
+            let mut best: Option<(usize, f64)> = None;
+            for (h, &score) in scores.iter().enumerate() {
+                if best.map_or(true, |(_, s)| score > s) && vp.fits(j, h, loads) {
                     best = Some((h, score));
                 }
             }
@@ -67,8 +59,28 @@ impl PackingHeuristic for BestFit {
             };
             vp.place(j, h, loads);
             placement.assign(j, h);
+            scores[h] = self.score(vp, h, loads);
         }
         true
+    }
+}
+
+impl BestFit {
+    /// Fullness of bin `h` under `loads`.
+    fn score(&self, vp: &VpProblem, h: usize, loads: &[f64]) -> f64 {
+        let loads = &loads[h * vp.dims()..(h + 1) * vp.dims()];
+        if self.heterogeneous {
+            // Most-full = least remaining capacity.
+            let remaining: f64 = vp
+                .bin_aggregate(h)
+                .iter()
+                .zip(loads)
+                .map(|(cap, load)| cap - load)
+                .sum();
+            -remaining
+        } else {
+            loads.iter().sum()
+        }
     }
 }
 

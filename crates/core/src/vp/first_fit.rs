@@ -23,14 +23,12 @@ impl PackingHeuristic for FirstFit {
     fn pack_with(&self, vp: &VpProblem, scratch: &mut PackScratch) -> bool {
         let PackScratch {
             loads,
-            items,
-            bins,
-            sort_keys,
+            orders,
             placement,
             ..
         } = scratch;
-        self.item_sort.order_into(vp, items, sort_keys);
-        self.bin_sort.order_into(vp, bins, sort_keys);
+        let items = orders.order(vp, self.item_sort);
+        let bins = vp.bin_order(self.bin_sort);
         loads.clear();
         loads.resize(vp.num_bins() * vp.dims(), 0.0);
         placement.reset(vp.num_items());

@@ -15,7 +15,7 @@
 
 use super::{
     BestFit, BinSort, FirstFit, ItemSort, PackScratch, PackingHeuristic, PermutationPack,
-    SortOrder, VectorMetric, VpProblem, DEFAULT_RESOLUTION,
+    SortOrder, VectorMetric, VpProblem, VpTables, DEFAULT_RESOLUTION,
 };
 use crate::algorithm::Algorithm;
 use crate::portfolio::{MemberOutcome, MemberReport, PortfolioReport, SolveCtx};
@@ -236,6 +236,9 @@ impl Algorithm for MetaVp {
         let incumbent = Incumbent::new();
         let resolution = self.resolution;
         let order = &self.order;
+        // Capacity tables and bin orders do not depend on the yield or on
+        // the member: one set per solve.
+        let tables = Arc::new(VpTables::new(instance));
 
         struct Outcome {
             member: usize,
@@ -256,8 +259,9 @@ impl Algorithm for MetaVp {
             |slot, scratch: &mut PackScratch| {
                 let member = order[slot];
                 let t0 = Instant::now();
-                let mut vp = VpProblem::with_buffers(
+                let mut vp = VpProblem::with_tables(
                     instance,
+                    Arc::clone(&tables),
                     0.0,
                     std::mem::take(&mut scratch.vp_elem),
                     std::mem::take(&mut scratch.vp_agg),

@@ -27,15 +27,54 @@ pub use ordering::telemetry_execution_order;
 pub use perm_pack::PermutationPack;
 pub use sortkey::{BinSort, ItemSort, SortOrder, VectorMetric};
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use vmplace_model::{Placement, ProblemInstance, EPSILON};
 
-/// A vector-packing view of an instance at a fixed target yield.
+/// Everything a probe reads that does not depend on the target yield:
+/// flat `H×D` capacity tables (the `+ EPSILON` of the fit test folded in)
+/// and the bin order of every [`BinSort`] a member asks for. Built once
+/// per solve and shared by every member's [`VpProblem`].
+pub(crate) struct VpTables {
+    /// Process-unique identity; keys the per-worker item-order memo.
+    id: u64,
+    elem_cap: Vec<f64>,  // H×D, elementary + EPSILON
+    agg_cap: Vec<f64>,   // H×D, aggregate + EPSILON
+    aggregate: Vec<f64>, // H×D, raw
+    bin_orders: [OnceLock<Vec<usize>>; BinSort::COUNT],
+}
+
+impl VpTables {
+    pub(crate) fn new(instance: &ProblemInstance) -> VpTables {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let cells = instance.num_nodes() * instance.dims();
+        let mut tables = VpTables {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            elem_cap: Vec::with_capacity(cells),
+            agg_cap: Vec::with_capacity(cells),
+            aggregate: Vec::with_capacity(cells),
+            bin_orders: Default::default(),
+        };
+        for node in instance.nodes() {
+            for d in 0..instance.dims() {
+                tables.elem_cap.push(node.elementary[d] + EPSILON);
+                tables.agg_cap.push(node.aggregate[d] + EPSILON);
+                tables.aggregate.push(node.aggregate[d]);
+            }
+        }
+        tables
+    }
+}
+
+/// A vector-packing view of an instance at a fixed target yield
+/// (`lambda ≥ 0`, so item sizes are non-negative and bin loads only grow).
 pub struct VpProblem<'a> {
     /// The underlying instance.
     pub instance: &'a ProblemInstance,
     /// The uniform target yield.
     pub lambda: f64,
     dims: usize,
+    tables: Arc<VpTables>,
     item_elem: Vec<f64>, // J×D, row-major
     item_agg: Vec<f64>,  // J×D
 }
@@ -55,10 +94,24 @@ impl<'a> VpProblem<'a> {
         item_elem: Vec<f64>,
         item_agg: Vec<f64>,
     ) -> Self {
+        let tables = Arc::new(VpTables::new(instance));
+        Self::with_tables(instance, tables, lambda, item_elem, item_agg)
+    }
+
+    /// As [`VpProblem::with_buffers`] on tables another member of the same
+    /// solve already built from `instance`.
+    pub(crate) fn with_tables(
+        instance: &'a ProblemInstance,
+        tables: Arc<VpTables>,
+        lambda: f64,
+        item_elem: Vec<f64>,
+        item_agg: Vec<f64>,
+    ) -> Self {
         let mut vp = VpProblem {
             instance,
             lambda,
             dims: instance.dims(),
+            tables,
             item_elem,
             item_agg,
         };
@@ -116,18 +169,39 @@ impl<'a> VpProblem<'a> {
         &self.item_elem[j * self.dims..(j + 1) * self.dims]
     }
 
+    /// Aggregate capacity vector of bin `h`.
+    #[inline]
+    pub(crate) fn bin_aggregate(&self, h: usize) -> &[f64] {
+        &self.tables.aggregate[h * self.dims..(h + 1) * self.dims]
+    }
+
+    /// Bin indices in `sort` order, sorted on first use and then shared by
+    /// every problem on the same tables.
+    pub(crate) fn bin_order(&self, sort: BinSort) -> &[usize] {
+        self.tables.bin_orders[sort.slot()].get_or_init(|| sort.order(self))
+    }
+
+    /// Identity of the item order under `sort` at this yield: equal keys
+    /// mean equal instances (same tables), equal `lambda`, equal strategy.
+    pub(crate) fn order_key(&self, sort: ItemSort) -> (u64, u64, ItemSort) {
+        (self.tables.id, self.lambda.to_bits(), sort)
+    }
+
     /// Whether item `j` fits in bin `h` given the bin's current aggregate
     /// `loads` (row-major H×D slice).
     #[inline]
     pub fn fits(&self, j: usize, h: usize, loads: &[f64]) -> bool {
-        let node = &self.instance.nodes()[h];
+        let row = h * self.dims..(h + 1) * self.dims;
+        let elem_cap = &self.tables.elem_cap[row.clone()];
+        let agg_cap = &self.tables.agg_cap[row.clone()];
+        let loads = &loads[row];
         let elem = self.item_elem(j);
         let agg = self.item_agg(j);
         for d in 0..self.dims {
-            if elem[d] > node.elementary[d] + EPSILON {
+            if elem[d] > elem_cap[d] {
                 return false;
             }
-            if loads[h * self.dims + d] + agg[d] > node.aggregate[d] + EPSILON {
+            if loads[d] + agg[d] > agg_cap[d] {
                 return false;
             }
         }
@@ -144,21 +218,16 @@ impl<'a> VpProblem<'a> {
     }
 }
 
-/// Reusable buffers for a packing worker: sort keys and orders, bin loads,
-/// Permutation-Pack selection state and the output placement. One scratch
-/// per portfolio worker makes every `pack_with` probe allocation-free in
-/// steady state (buffers grow once, then stay).
+/// Reusable buffers for a packing worker: memoised item orders, bin loads,
+/// Best-Fit scores, Permutation-Pack class state and the output placement.
+/// One scratch per portfolio worker makes every `pack_with` probe
+/// allocation-free in steady state (buffers grow once, then stay).
 #[derive(Default)]
 pub struct PackScratch {
     pub(crate) loads: Vec<f64>,
-    pub(crate) items: Vec<usize>,
-    pub(crate) bins: Vec<usize>,
-    pub(crate) sort_keys: Vec<f64>,
-    pub(crate) unplaced: Vec<usize>,
-    pub(crate) bin_perm: Vec<usize>,
-    pub(crate) rank_of_dim: Vec<usize>,
-    pub(crate) key: Vec<usize>,
-    pub(crate) best_key: Vec<usize>,
+    pub(crate) orders: sortkey::OrderMemo,
+    pub(crate) scores: Vec<f64>,
+    pub(crate) perm: perm_pack::PermScratch,
     pub(crate) placement: Placement,
     pub(crate) vp_elem: Vec<f64>,
     pub(crate) vp_agg: Vec<f64>,

@@ -1,5 +1,5 @@
 //! Permutation-Pack and Choose-Pack (§3.5.2, Leinberger et al.), with the
-//! paper's `O(J²·D)` key-mapping improvement.
+//! paper's key-mapping improvement and one pass over the items per bin.
 //!
 //! The algorithms are bin-centric: for the current bin, items are selected
 //! to *go against the bin's capacity imbalance* — an ideal item has its
@@ -8,10 +8,19 @@
 //! Instead of Leinberger's `D!` permutation lists, each candidate item's
 //! descending-size dimension permutation is mapped into the permutation
 //! space defined by the bin's dimension ranking (an `O(D)` key), and the
-//! lexicographically smallest key wins — `O(J·D)` per selection, `O(J²·D)`
-//! per bin sweep, as described in the paper. With a window `w < D` only the
-//! first `w` key positions are compared; Choose-Pack compares the windowed
-//! key positions as a *set* rather than an ordered tuple.
+//! lexicographically smallest key wins, ties going to the earliest item in
+//! item-sort order. With a window `w < D` only the first `w` key positions
+//! are compared; Choose-Pack compares the windowed key positions as a
+//! *set* rather than an ordered tuple.
+//!
+//! The key depends on the item only through the first `w` entries of its
+//! dimension permutation — its *class* — so items are grouped by class in
+//! item-sort order and a selection compares one head per class instead of
+//! scanning every unplaced item. A bin's loads only grow while it fills,
+//! so an item that fails the fit test once is out of that bin for good:
+//! each class keeps a cursor per bin and every (item, bin) pair is tested
+//! about once. A probe costs `Σ over bins of the items still unplaced`
+//! fit tests, not that per selection.
 
 use super::{BinSort, ItemSort, PackScratch, PackingHeuristic, VpProblem};
 
@@ -31,47 +40,93 @@ pub struct PermutationPack {
     pub heterogeneous: bool,
 }
 
+/// The unplaced items of one class: positions into the item order, kept
+/// ascending in `members[start..end]`. While a bin fills, `read` is the
+/// cursor and `members[start..write]` collects the items the bin rejected.
+#[derive(Clone, Copy, Default)]
+struct Class {
+    start: usize,
+    end: usize,
+    read: usize,
+    write: usize,
+}
+
+/// Permutation-Pack working state (part of [`PackScratch`]).
+#[derive(Default)]
+pub(crate) struct PermScratch {
+    dim_perm: Vec<usize>,
+    rank_of_dim: Vec<usize>,
+    class_perm: Vec<usize>, // C×w, the classes' permutation prefixes
+    class_of: Vec<usize>,   // class of the item at each position
+    classes: Vec<Class>,
+    members: Vec<usize>,
+    keys: Vec<usize>, // C×w, the classes' keys in the current bin
+}
+
 impl PermutationPack {
     /// Dimension ranking of the current bin: the dimension with the most
     /// headroom first. The homogeneous variant uses ascending load; the
     /// heterogeneous variant descending remaining capacity (identical when
     /// all bins share one capacity vector).
-    fn bin_perm(&self, vp: &VpProblem, h: usize, loads: &[f64], out: &mut Vec<usize>) {
+    fn rank_dims(&self, vp: &VpProblem, h: usize, loads: &[f64], st: &mut PermScratch) {
         let dims = vp.dims();
-        out.clear();
-        out.extend(0..dims);
+        let loads = &loads[h * dims..(h + 1) * dims];
+        st.dim_perm.clear();
+        st.dim_perm.extend(0..dims);
         if self.heterogeneous {
-            let node = &vp.instance.nodes()[h];
-            out.sort_by(|&a, &b| {
-                let ra = node.aggregate[a] - loads[h * dims + a];
-                let rb = node.aggregate[b] - loads[h * dims + b];
+            let cap = vp.bin_aggregate(h);
+            st.dim_perm.sort_unstable_by(|&a, &b| {
+                let ra = cap[a] - loads[a];
+                let rb = cap[b] - loads[b];
                 rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
             });
         } else {
-            out.sort_by(|&a, &b| {
-                let la = loads[h * dims + a];
-                let lb = loads[h * dims + b];
-                la.partial_cmp(&lb).unwrap().then(a.cmp(&b))
+            st.dim_perm.sort_unstable_by(|&a, &b| {
+                loads[a].partial_cmp(&loads[b]).unwrap().then(a.cmp(&b))
             });
+        }
+        for (rank, &d) in st.dim_perm.iter().enumerate() {
+            st.rank_of_dim[d] = rank;
         }
     }
 
-    /// The item's key in the bin's permutation space: `key[i]` is the rank
-    /// (within the bin's dimension ordering) of the item's `i`-th largest
-    /// dimension. The perfectly matched item has key `(0, 1, 2, …)`.
-    fn item_key(&self, vp: &VpProblem, j: usize, bin_rank_of_dim: &[usize], key: &mut Vec<usize>) {
-        let dims = vp.dims();
-        let sizes = vp.item_agg(j);
-        key.clear();
-        key.extend(0..dims);
-        // Descending by item size; ties by dimension index for determinism.
-        key.sort_by(|&a, &b| sizes[b].partial_cmp(&sizes[a]).unwrap().then(a.cmp(&b)));
-        for slot in key.iter_mut() {
-            *slot = bin_rank_of_dim[*slot];
+    /// Groups the items, in `items` order, by the first `w` entries of
+    /// their descending-size dimension permutation (ties by dimension
+    /// index).
+    fn classify(vp: &VpProblem, items: &[usize], w: usize, st: &mut PermScratch) {
+        st.class_perm.clear();
+        st.class_of.clear();
+        st.classes.clear();
+        for &j in items {
+            let sizes = vp.item_agg(j);
+            st.dim_perm.clear();
+            st.dim_perm.extend(0..vp.dims());
+            st.dim_perm.sort_unstable_by(|&a, &b| {
+                sizes[b].partial_cmp(&sizes[a]).unwrap().then(a.cmp(&b))
+            });
+            let prefix = &st.dim_perm[..w];
+            let known = st.class_perm.chunks_exact(w).position(|p| p == prefix);
+            let class = known.unwrap_or_else(|| {
+                st.class_perm.extend_from_slice(prefix);
+                st.classes.push(Class::default());
+                st.classes.len() - 1
+            });
+            st.classes[class].end += 1; // member count until laid out
+            st.class_of.push(class);
         }
-        if self.choose {
-            let w = self.window.min(dims);
-            key[..w].sort_unstable();
+        // Lay the classes out one after another, each in item order.
+        let mut next = 0;
+        for class in st.classes.iter_mut() {
+            let count = class.end;
+            (class.start, class.end) = (next, next);
+            next += count;
+        }
+        st.members.clear();
+        st.members.resize(items.len(), 0);
+        for (pos, &class) in st.class_of.iter().enumerate() {
+            let class = &mut st.classes[class];
+            st.members[class.end] = pos;
+            class.end += 1;
         }
     }
 }
@@ -93,69 +148,78 @@ impl PackingHeuristic for PermutationPack {
         let w = self.window.clamp(1, dims);
         let PackScratch {
             loads,
-            items,
-            bins,
-            sort_keys,
-            unplaced,
-            bin_perm,
-            rank_of_dim,
-            key,
-            best_key,
+            orders,
+            perm: st,
             placement,
             ..
         } = scratch;
-        self.item_sort.order_into(vp, items, sort_keys);
-        self.bin_sort.order_into(vp, bins, sort_keys);
+        let items = orders.order(vp, self.item_sort);
         loads.clear();
         loads.resize(vp.num_bins() * dims, 0.0);
         placement.reset(vp.num_items());
-        unplaced.clear();
-        unplaced.extend_from_slice(items); // maintained in item-sort order
-        rank_of_dim.clear();
-        rank_of_dim.resize(dims, 0);
+        st.rank_of_dim.clear();
+        st.rank_of_dim.resize(dims, 0);
+        Self::classify(vp, items, w, st);
+        st.keys.clear();
+        st.keys.resize(st.classes.len() * w, 0);
+        let mut unplaced = items.len();
 
-        for &h in bins.iter() {
+        for &h in vp.bin_order(self.bin_sort) {
+            if unplaced == 0 {
+                break;
+            }
+            for class in st.classes.iter_mut() {
+                (class.read, class.write) = (class.start, class.start);
+            }
             loop {
-                if unplaced.is_empty() {
-                    break;
-                }
-                self.bin_perm(vp, h, loads, bin_perm);
-                for (rank, &d) in bin_perm.iter().enumerate() {
-                    rank_of_dim[d] = rank;
-                }
-                // Select the fitting item whose windowed key is smallest;
-                // ties resolve to the earliest item in item-sort order.
-                let mut best: Option<usize> = None; // position in `unplaced`
-                for (pos, &j) in unplaced.iter().enumerate() {
-                    if !vp.fits(j, h, loads) {
+                self.rank_dims(vp, h, loads, st);
+                // Each class's head is its first unplaced item that fits;
+                // the head with the smallest (windowed key, position) wins.
+                let mut best: Option<usize> = None;
+                for c in 0..st.classes.len() {
+                    let class = &mut st.classes[c];
+                    while class.read < class.end
+                        && !vp.fits(items[st.members[class.read]], h, loads)
+                    {
+                        st.members[class.write] = st.members[class.read];
+                        class.write += 1;
+                        class.read += 1;
+                    }
+                    if class.read == class.end {
                         continue;
                     }
-                    self.item_key(vp, j, rank_of_dim, key);
-                    let better = match best {
-                        None => true,
-                        Some(_) => key[..w] < best_key[..w],
-                    };
-                    if better {
-                        best = Some(pos);
-                        best_key.clear();
-                        best_key.extend_from_slice(key);
-                        // Perfect match cannot be beaten; stop scanning.
-                        if best_key[..w].iter().enumerate().all(|(i, &r)| r == i) {
-                            break;
-                        }
+                    for i in 0..w {
+                        st.keys[c * w + i] = st.rank_of_dim[st.class_perm[c * w + i]];
+                    }
+                    if self.choose {
+                        st.keys[c * w..(c + 1) * w].sort_unstable();
+                    }
+                    let head =
+                        |c: usize| (&st.keys[c * w..(c + 1) * w], st.members[st.classes[c].read]);
+                    if best.map_or(true, |b| head(c) < head(b)) {
+                        best = Some(c);
                     }
                 }
-                match best {
-                    None => break, // nothing fits; move to next bin
-                    Some(pos) => {
-                        let j = unplaced.remove(pos);
-                        vp.place(j, h, loads);
-                        placement.assign(j, h);
-                    }
+                let Some(c) = best else {
+                    break; // nothing fits; move to next bin
+                };
+                let class = &mut st.classes[c];
+                let j = items[st.members[class.read]];
+                class.read += 1;
+                vp.place(j, h, loads);
+                placement.assign(j, h);
+                unplaced -= 1;
+                if unplaced == 0 {
+                    return true;
                 }
             }
+            // Every cursor reached its end: what the bin rejected is what
+            // the next bin sees.
+            for class in st.classes.iter_mut() {
+                class.end = class.write;
+            }
         }
-        unplaced.is_empty()
+        unplaced == 0
     }
 }
 

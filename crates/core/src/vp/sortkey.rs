@@ -111,47 +111,121 @@ pub struct ItemSort(pub Option<(VectorMetric, SortOrder)>);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BinSort(pub Option<(VectorMetric, SortOrder)>);
 
-/// Fills `idx` with `0..count` sorted under `strategy`, using `keys` as
-/// scratch for cached scalar metric values — no per-call allocation once
-/// the two buffers have grown to size.
+/// Fills `idx` with `0..count` sorted under `strategy`, using `pairs` as
+/// scratch — no per-call allocation once the two buffers have grown to
+/// size.
 ///
-/// Scalar metrics are evaluated once per vector (the seed code recomputed
-/// them inside every comparison); `Lex` compares the slices directly.
+/// Scalar metrics are evaluated once per vector and sorted as
+/// `(key, index)` pairs; `Lex` compares the slices directly. The index
+/// tie-break makes either comparator a total order, so the permutation
+/// does not depend on the sort algorithm.
 fn sorted_indices_into<'v, F>(
     count: usize,
     vec_of: F,
     strategy: Option<(VectorMetric, SortOrder)>,
     idx: &mut Vec<usize>,
-    keys: &mut Vec<f64>,
+    pairs: &mut Vec<(f64, usize)>,
 ) where
     F: Fn(usize) -> &'v [f64],
 {
     idx.clear();
-    idx.extend(0..count);
     let Some((metric, order)) = strategy else {
+        idx.extend(0..count);
         return;
     };
     if metric == VectorMetric::Lex {
-        idx.sort_by(|&a, &b| {
+        idx.extend(0..count);
+        idx.sort_unstable_by(|&a, &b| {
             let o = metric.compare(vec_of(a), vec_of(b));
             let o = match order {
                 SortOrder::Ascending => o,
                 SortOrder::Descending => o.reverse(),
             };
-            o.then(a.cmp(&b)) // stable & deterministic
+            o.then(a.cmp(&b))
         });
         return;
     }
-    keys.clear();
-    keys.extend((0..count).map(|i| metric.scalar(vec_of(i))));
-    idx.sort_by(|&a, &b| {
-        let o = keys[a].partial_cmp(&keys[b]).unwrap_or(Ordering::Equal);
-        let o = match order {
-            SortOrder::Ascending => o,
-            SortOrder::Descending => o.reverse(),
+    pairs.clear();
+    pairs.extend((0..count).map(|i| (metric.scalar(vec_of(i)), i)));
+    let by_key = |x: f64, y: f64| x.partial_cmp(&y).unwrap_or(Ordering::Equal);
+    match order {
+        SortOrder::Ascending => pairs.sort_unstable_by(|x, y| by_key(x.0, y.0).then(x.1.cmp(&y.1))),
+        SortOrder::Descending => {
+            pairs.sort_unstable_by(|x, y| by_key(y.0, x.0).then(x.1.cmp(&y.1)))
+        }
+    }
+    idx.extend(pairs.iter().map(|p| p.1));
+}
+
+/// Item orders a worker has already sorted, keyed by
+/// [`VpProblem::order_key`]: members of one solve that probe the same `λ`
+/// under the same [`ItemSort`] sort once per worker. The tables id in the
+/// key is minted per solve, so an entry can never answer for another
+/// instance — or for the same `ProblemInstance` mutated in place — and
+/// the memo needs no reset between solves. Least recently used entries
+/// are overwritten once [`ORDER_MEMO_CAPACITY`] are live.
+pub(crate) struct OrderMemo {
+    entries: Vec<MemoEntry>,
+    clock: u64,
+    capacity: usize,
+    sort_pairs: Vec<(f64, usize)>,
+}
+
+/// One bisection path visits ~16 yields, so 64 entries hold the paths of
+/// the four item sorts METAHVPLIGHT switches between — the hit rate stops
+/// improving there — at `64 × J` indices (256 KiB at 500 services).
+const ORDER_MEMO_CAPACITY: usize = 64;
+
+struct MemoEntry {
+    key: (u64, u64, ItemSort),
+    used: u64,
+    order: Vec<usize>,
+}
+
+impl Default for OrderMemo {
+    fn default() -> Self {
+        OrderMemo::with_capacity(ORDER_MEMO_CAPACITY)
+    }
+}
+
+impl OrderMemo {
+    fn with_capacity(capacity: usize) -> OrderMemo {
+        OrderMemo {
+            entries: Vec::new(),
+            clock: 0,
+            capacity,
+            sort_pairs: Vec::new(),
+        }
+    }
+
+    /// Item indices of `vp` in `sort` order.
+    pub(crate) fn order(&mut self, vp: &VpProblem, sort: ItemSort) -> &[usize] {
+        let key = vp.order_key(sort);
+        let slot = match self.entries.iter().position(|e| e.key == key) {
+            Some(hit) => hit,
+            None => {
+                let slot = if self.entries.len() < self.capacity {
+                    self.entries.push(MemoEntry {
+                        key,
+                        used: 0,
+                        order: Vec::new(),
+                    });
+                    self.entries.len() - 1
+                } else {
+                    let lru = self.entries.iter().enumerate().min_by_key(|(_, e)| e.used);
+                    lru.expect("capacity is at least one").0
+                };
+                let entry = &mut self.entries[slot];
+                entry.key = key;
+                sort.order_into(vp, &mut entry.order, &mut self.sort_pairs);
+                slot
+            }
         };
-        o.then(a.cmp(&b))
-    });
+        self.clock += 1;
+        let entry = &mut self.entries[slot];
+        entry.used = self.clock;
+        &entry.order
+    }
 }
 
 impl ItemSort {
@@ -173,15 +247,14 @@ impl ItemSort {
     /// problem's target yield.
     pub fn order(&self, vp: &VpProblem) -> Vec<usize> {
         let mut idx = Vec::new();
-        let mut keys = Vec::new();
-        self.order_into(vp, &mut idx, &mut keys);
+        self.order_into(vp, &mut idx, &mut Vec::new());
         idx
     }
 
     /// As [`ItemSort::order`], writing into caller-provided buffers
     /// (allocation-free once the buffers have grown to size).
-    pub fn order_into(&self, vp: &VpProblem, idx: &mut Vec<usize>, keys: &mut Vec<f64>) {
-        sorted_indices_into(vp.num_items(), |j| vp.item_agg(j), self.0, idx, keys);
+    pub fn order_into(&self, vp: &VpProblem, idx: &mut Vec<usize>, pairs: &mut Vec<(f64, usize)>) {
+        sorted_indices_into(vp.num_items(), |j| vp.item_agg(j), self.0, idx, pairs);
     }
 
     /// Label used in heuristic names.
@@ -212,21 +285,24 @@ impl BinSort {
     /// Bin indices in packing order, keyed on aggregate capacity.
     pub fn order(&self, vp: &VpProblem) -> Vec<usize> {
         let mut idx = Vec::new();
-        let mut keys = Vec::new();
-        self.order_into(vp, &mut idx, &mut keys);
+        sorted_indices_into(
+            vp.num_bins(),
+            |h| vp.bin_aggregate(h),
+            self.0,
+            &mut idx,
+            &mut Vec::new(),
+        );
         idx
     }
 
-    /// As [`BinSort::order`], writing into caller-provided buffers
-    /// (allocation-free once the buffers have grown to size).
-    pub fn order_into(&self, vp: &VpProblem, idx: &mut Vec<usize>, keys: &mut Vec<f64>) {
-        sorted_indices_into(
-            vp.num_bins(),
-            |h| vp.instance.nodes()[h].aggregate.as_slice(),
-            self.0,
-            idx,
-            keys,
-        );
+    /// Number of strategies, and this one's index among them.
+    pub(crate) const COUNT: usize = 1 + 2 * VectorMetric::ALL.len();
+
+    pub(crate) fn slot(&self) -> usize {
+        match self.0 {
+            None => 0,
+            Some((metric, order)) => 1 + 2 * (metric as usize) + order as usize,
+        }
     }
 
     /// Label used in heuristic names.
@@ -295,6 +371,52 @@ mod tests {
         let order = BinSort(Some((VectorMetric::Sum, SortOrder::Ascending))).order(&vp);
         // Capacity sums: node0 3.2+1.0=4.2, node1 2.0+0.5=2.5, node2 1.2+0.8=2.0.
         assert_eq!(order, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn pair_sort_matches_the_comparator_sort() {
+        // Equal keys are common here (two services share every size), so
+        // the index tie-break is exercised in both directions.
+        let inst = crate::vp::test_support::tight_memory();
+        for inst in [small_hetero(), inst] {
+            for lambda in [0.0, 0.3, 1.0] {
+                let vp = VpProblem::new(&inst, lambda);
+                for sort in ItemSort::all() {
+                    let mut expected: Vec<usize> = (0..vp.num_items()).collect();
+                    if let Some((metric, order)) = sort.0 {
+                        expected.sort_by(|&a, &b| {
+                            let o = metric.compare(vp.item_agg(a), vp.item_agg(b));
+                            let o = match order {
+                                SortOrder::Ascending => o,
+                                SortOrder::Descending => o.reverse(),
+                            };
+                            o.then(a.cmp(&b))
+                        });
+                    }
+                    assert_eq!(sort.order(&vp), expected, "{} at {lambda}", sort.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_capacity_bounds_entries_never_answers() {
+        // At capacity 1 every change of key evicts; the orders handed out
+        // are those of an unbounded memo and of a fresh sort.
+        let inst = small_hetero();
+        let mut vp = VpProblem::new(&inst, 0.0);
+        let mut tight = OrderMemo::with_capacity(1);
+        let mut wide = OrderMemo::with_capacity(usize::MAX);
+        for lambda in [0.0, 0.5, 1.0, 0.5, 0.0] {
+            vp.retarget(lambda);
+            for sort in ItemSort::all() {
+                let expected = sort.order(&vp);
+                assert_eq!(tight.order(&vp, sort), expected);
+                assert_eq!(wide.order(&vp, sort), expected);
+            }
+        }
+        assert_eq!(tight.entries.len(), 1);
+        assert_eq!(wide.entries.len(), 3 * 11);
     }
 
     #[test]
