@@ -43,6 +43,12 @@ impl EngineRun {
         self.report.as_ref().map_or(0, |r| r.total_probes())
     }
 
+    /// Probes that ran a packing heuristic, when telemetry exists (see
+    /// [`MemberReport::packs`](crate::MemberReport::packs)).
+    pub fn packs(&self) -> u64 {
+        self.report.as_ref().map_or(0, |r| r.total_packs())
+    }
+
     /// Label of the winning portfolio member, when telemetry exists.
     pub fn winner(&self) -> Option<&str> {
         self.report.as_ref().and_then(|r| r.winner_label())

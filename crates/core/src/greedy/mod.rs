@@ -245,12 +245,16 @@ impl Algorithm for MetaGreedy {
         let member_reports: Vec<MemberReport> = outcomes
             .iter()
             .enumerate()
-            .map(|(i, o)| MemberReport {
-                member: i,
-                outcome: o.outcome,
-                searched_yield: o.solution.as_ref().map(|s| s.min_yield),
-                probes: u32::from(o.outcome != MemberOutcome::TimedOut),
-                wall: o.wall,
+            .map(|(i, o)| {
+                let probes = u32::from(o.outcome != MemberOutcome::TimedOut);
+                MemberReport {
+                    member: i,
+                    outcome: o.outcome,
+                    searched_yield: o.solution.as_ref().map(|s| s.min_yield),
+                    probes,
+                    packs: probes,
+                    wall: o.wall,
+                }
             })
             .collect();
         ctx.set_report(PortfolioReport {

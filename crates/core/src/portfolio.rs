@@ -24,7 +24,8 @@
 //!   best result found so far (best-effort anytime behaviour; determinism
 //!   holds only for unbudgeted runs);
 //! * **telemetry**: a [`PortfolioReport`] recording, per member, the
-//!   outcome, searched yield, probe count and wall time, plus the winner.
+//!   outcome, searched yield, probe and pack counts and wall time, plus
+//!   the winner.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,6 +62,10 @@ pub struct MemberReport {
     pub searched_yield: Option<f64>,
     /// Number of packing probes (or placements/trials) attempted.
     pub probes: u32,
+    /// Probes that actually ran a packing heuristic: a binary search
+    /// answers probes above the instance's yield ceiling without packing.
+    /// Equal to `probes` for members that do not search.
+    pub packs: u32,
     /// Wall-clock time spent on this member.
     pub wall: Duration,
 }
@@ -96,6 +101,11 @@ impl PortfolioReport {
     /// Total packing probes (or trials) across all members.
     pub fn total_probes(&self) -> u64 {
         self.members.iter().map(|m| m.probes as u64).sum()
+    }
+
+    /// Total probes that ran a packing heuristic, across all members.
+    pub fn total_packs(&self) -> u64 {
+        self.members.iter().map(|m| m.packs as u64).sum()
     }
 
     /// Number of members with the given outcome.

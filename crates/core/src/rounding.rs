@@ -200,15 +200,19 @@ impl Algorithm for RandomizedRounding {
         let members: Vec<MemberReport> = outcomes
             .iter()
             .enumerate()
-            .map(|(i, o)| MemberReport {
-                member: i,
-                outcome: o.outcome,
-                searched_yield: None,
-                probes: u32::from(matches!(
+            .map(|(i, o)| {
+                let probes = u32::from(matches!(
                     o.outcome,
                     MemberOutcome::Solved | MemberOutcome::Failed
-                )),
-                wall: o.wall,
+                ));
+                MemberReport {
+                    member: i,
+                    outcome: o.outcome,
+                    searched_yield: None,
+                    probes,
+                    packs: probes,
+                    wall: o.wall,
+                }
             })
             .collect();
         ctx.set_report(PortfolioReport {

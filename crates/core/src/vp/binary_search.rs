@@ -113,18 +113,56 @@ pub(crate) struct MemberRun {
     pub lo: f64,
     /// Placement achieving `lo`, when any probe succeeded.
     pub placement: Option<Placement>,
-    /// Packing probes attempted.
+    /// Probes of the search: every yield it asked about.
     pub probes: u32,
+    /// Probes that ran the heuristic (those at or below the yield ceiling).
+    pub packs: u32,
 }
 
 impl MemberRun {
-    fn ended(outcome: MemberOutcome, probes: u32) -> MemberRun {
+    fn new<H: ?Sized>(
+        outcome: MemberOutcome,
+        lo: f64,
+        placement: Option<Placement>,
+        prober: &Prober<H>,
+    ) -> MemberRun {
         MemberRun {
             outcome,
-            lo: 0.0,
-            placement: None,
-            probes,
+            lo,
+            placement,
+            probes: prober.probes,
+            packs: prober.packs,
         }
+    }
+
+    fn ended<H: ?Sized>(outcome: MemberOutcome, prober: &Prober<H>) -> MemberRun {
+        MemberRun::new(outcome, 0.0, None, prober)
+    }
+}
+
+/// Runs one member's probes and counts them. A probe above the yield
+/// ceiling counts but fails without packing: no placement passes the fit
+/// test there, so the heuristic's answer is known.
+struct Prober<'h, H: ?Sized> {
+    heuristic: &'h H,
+    ceiling: f64,
+    probes: u32,
+    packs: u32,
+}
+
+impl<H: PackingHeuristic + ?Sized> Prober<'_, H> {
+    /// Whether the heuristic packs at `lambda`; on success the placement
+    /// is in `scratch`.
+    fn packs_at(&mut self, vp: &mut VpProblem, scratch: &mut PackScratch, lambda: f64) -> bool {
+        self.probes += 1;
+        if lambda > self.ceiling {
+            return false;
+        }
+        self.packs += 1;
+        if vp.lambda != lambda {
+            vp.retarget(lambda);
+        }
+        self.heuristic.pack_with(vp, scratch)
     }
 }
 
@@ -135,7 +173,9 @@ impl MemberRun {
 /// growing lower bound, and (b) abandon the member once the incumbent
 /// strictly dominates its remaining bracket (see
 /// [`Incumbent::dominates`]) — which can never affect the member that ends
-/// up winning, so engine results are independent of scheduling.
+/// up winning, so engine results are independent of scheduling. Probes
+/// above the instance's yield ceiling fail without packing (see
+/// [`VpProblem::ceiling`]), which changes no answer.
 pub(crate) fn search_member<H: PackingHeuristic + ?Sized>(
     vp: &mut VpProblem,
     heuristic: &H,
@@ -143,12 +183,17 @@ pub(crate) fn search_member<H: PackingHeuristic + ?Sized>(
     scratch: &mut PackScratch,
     guards: &MemberGuards,
 ) -> MemberRun {
-    let mut probes = 0u32;
+    let mut p = Prober {
+        heuristic,
+        ceiling: vp.ceiling(),
+        probes: 0,
+        packs: 0,
+    };
     if guards.dominated(1.0) {
-        return MemberRun::ended(MemberOutcome::Pruned, probes);
+        return MemberRun::ended(MemberOutcome::Pruned, &p);
     }
     if guards.expired() {
-        return MemberRun::ended(MemberOutcome::TimedOut, probes);
+        return MemberRun::ended(MemberOutcome::TimedOut, &p);
     }
 
     let warm = guards
@@ -171,9 +216,7 @@ pub(crate) fn search_member<H: PackingHeuristic + ?Sized>(
         // probe-sequence change: `lo` stays a proven yield and `hi` an
         // observed failure, identically on every thread count.
         let a = (h - WARM_WINDOW).max(0.0);
-        vp.retarget(a);
-        probes += 1;
-        if heuristic.pack_with(vp, scratch) {
+        if p.packs_at(vp, scratch, a) {
             best = scratch.take_placement();
             lo = a;
             if a > 0.0 {
@@ -182,68 +225,41 @@ pub(crate) fn search_member<H: PackingHeuristic + ?Sized>(
             // Upper window edge (or λ = 1 when the hint sits next to it).
             let b = (h + WARM_WINDOW).min(1.0);
             if guards.dominated(hi) {
-                return MemberRun {
-                    outcome: MemberOutcome::Pruned,
-                    lo,
-                    placement: Some(best),
-                    probes,
-                };
+                return MemberRun::new(MemberOutcome::Pruned, lo, Some(best), &p);
             }
             if guards.expired() {
-                return MemberRun {
-                    outcome: MemberOutcome::TimedOut,
-                    lo,
-                    placement: Some(best),
-                    probes,
-                };
+                return MemberRun::new(MemberOutcome::TimedOut, lo, Some(best), &p);
             }
-            vp.retarget(b);
-            probes += 1;
-            if heuristic.pack_with(vp, scratch) {
+            if p.packs_at(vp, scratch, b) {
                 std::mem::swap(&mut best, &mut scratch.placement);
                 lo = b;
                 guards.publish(lo);
                 if b >= 1.0 {
-                    return MemberRun {
-                        outcome: MemberOutcome::Solved,
-                        lo: 1.0,
-                        placement: Some(best),
-                        probes,
-                    };
+                    return MemberRun::new(MemberOutcome::Solved, 1.0, Some(best), &p);
                 }
                 // The yield improved past the window (e.g. departures
                 // freed capacity): check the cheap λ = 1 probe before
                 // bisecting `[b, 1]`.
-                if !guards.expired() {
-                    vp.retarget(1.0);
-                    probes += 1;
-                    if heuristic.pack_with(vp, scratch) {
-                        guards.publish(1.0);
-                        return MemberRun {
-                            outcome: MemberOutcome::Solved,
-                            lo: 1.0,
-                            placement: Some(scratch.take_placement()),
-                            probes,
-                        };
-                    }
+                if !guards.expired() && p.packs_at(vp, scratch, 1.0) {
+                    guards.publish(1.0);
+                    let full = scratch.take_placement();
+                    return MemberRun::new(MemberOutcome::Solved, 1.0, Some(full), &p);
                 }
             } else {
                 hi = b;
             }
         } else if a == 0.0 {
             // The window's lower edge *was* the rigid-requirement probe.
-            return MemberRun::ended(MemberOutcome::Failed, probes);
+            return MemberRun::ended(MemberOutcome::Failed, &p);
         } else {
             // Window missed low: fall back to the rigid-requirement probe
             // and bisect `[0, h − δ)`.
             hi = a;
             if guards.expired() {
-                return MemberRun::ended(MemberOutcome::TimedOut, probes);
+                return MemberRun::ended(MemberOutcome::TimedOut, &p);
             }
-            vp.retarget(0.0);
-            probes += 1;
-            if !heuristic.pack_with(vp, scratch) {
-                return MemberRun::ended(MemberOutcome::Failed, probes);
+            if !p.packs_at(vp, scratch, 0.0) {
+                return MemberRun::ended(MemberOutcome::Failed, &p);
             }
             best = scratch.take_placement();
             lo = 0.0;
@@ -251,15 +267,9 @@ pub(crate) fn search_member<H: PackingHeuristic + ?Sized>(
     } else {
         // Cold start. Feasibility of the rigid requirements (λ = 0):
         // infeasible members fail after this single probe, exactly like
-        // the seed fold's first sweep. Constructors keep the item tables
-        // consistent with `vp.lambda`, so a problem already at 0 (the
-        // common case — workers build with λ = 0) needs no rebuild.
-        if vp.lambda != 0.0 {
-            vp.retarget(0.0);
-        }
-        probes += 1;
-        if !heuristic.pack_with(vp, scratch) {
-            return MemberRun::ended(MemberOutcome::Failed, probes);
+        // the seed fold's first sweep.
+        if !p.packs_at(vp, scratch, 0.0) {
+            return MemberRun::ended(MemberOutcome::Failed, &p);
         }
         best = scratch.take_placement();
         lo = 0.0;
@@ -267,42 +277,22 @@ pub(crate) fn search_member<H: PackingHeuristic + ?Sized>(
         // Cheap upper probe: many under-constrained instances pack at
         // yield 1 — and once any member publishes 1.0, every later member
         // is tie-pruned before doing any work at all.
-        if !guards.expired() {
-            vp.retarget(1.0);
-            probes += 1;
-            if heuristic.pack_with(vp, scratch) {
-                guards.publish(1.0);
-                return MemberRun {
-                    outcome: MemberOutcome::Solved,
-                    lo: 1.0,
-                    placement: Some(scratch.take_placement()),
-                    probes,
-                };
-            }
+        if !guards.expired() && p.packs_at(vp, scratch, 1.0) {
+            guards.publish(1.0);
+            let full = scratch.take_placement();
+            return MemberRun::new(MemberOutcome::Solved, 1.0, Some(full), &p);
         }
     }
 
     while hi - lo > resolution {
         if guards.dominated(hi) {
-            return MemberRun {
-                outcome: MemberOutcome::Pruned,
-                lo,
-                placement: Some(best),
-                probes,
-            };
+            return MemberRun::new(MemberOutcome::Pruned, lo, Some(best), &p);
         }
         if guards.expired() {
-            return MemberRun {
-                outcome: MemberOutcome::TimedOut,
-                lo,
-                placement: Some(best),
-                probes,
-            };
+            return MemberRun::new(MemberOutcome::TimedOut, lo, Some(best), &p);
         }
         let mid = 0.5 * (lo + hi);
-        vp.retarget(mid);
-        probes += 1;
-        if heuristic.pack_with(vp, scratch) {
+        if p.packs_at(vp, scratch, mid) {
             // Keep the successful placement; the stale `best` buffer goes
             // back into the scratch for the next probe to overwrite.
             std::mem::swap(&mut best, &mut scratch.placement);
@@ -312,12 +302,7 @@ pub(crate) fn search_member<H: PackingHeuristic + ?Sized>(
             hi = mid;
         }
     }
-    MemberRun {
-        outcome: MemberOutcome::Solved,
-        lo,
-        placement: Some(best),
-        probes,
-    }
+    MemberRun::new(MemberOutcome::Solved, lo, Some(best), &p)
 }
 
 /// A packing heuristic lifted to a full [`Algorithm`] via binary search.

@@ -1,0 +1,350 @@
+//! The yield ceiling `λ̂` (see [`VpTables`]):
+//!
+//! * (a) admissibility: no METAHVP member packs at any yield above it,
+//!   including on instances built to stress its rounding rules;
+//! * (b) the ceiling-skipping member search ≡ a search that packs every
+//!   probe, cold and warm, alone and on the engine at 1 and 4 threads;
+//! * (c) a trivially infeasible instance costs the same probes and no packs;
+//! * the ordering `λ̂ ≥ MILP optimum ≥ every METAHVP member's yield`.
+
+use super::binary_search::{search_member, MemberGuards, WARM_WINDOW};
+use super::{
+    MetaVp, PackScratch, PackingHeuristic, VpAlgorithm, VpProblem, VpTables, DEFAULT_RESOLUTION,
+};
+use crate::algorithm::Algorithm;
+use crate::engine::EngineHandle;
+use crate::exact::ExactMilp;
+use crate::portfolio::{best_member, MemberOutcome, SolveCtx};
+use proptest::prelude::*;
+use std::cell::Cell;
+use vmplace_model::{evaluate_placement, Node, Placement, ProblemInstance, Service, EPSILON};
+
+/// Xorshift stream, so every instance is reproducible from its seed alone.
+struct Draw(u64);
+
+impl Draw {
+    fn new(seed: u64) -> Draw {
+        Draw(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+    }
+
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        ((self.0 >> 11) % n as u64) as usize
+    }
+
+    /// Uniform in `lo..=hi` tenths.
+    fn tenths(&mut self, lo: usize, hi: usize) -> f64 {
+        (lo + self.below(hi - lo + 1)) as f64 / 10.0
+    }
+}
+
+/// A random instance with sizes on a 0.1 grid. `adversarial` adds the
+/// cases the ceiling's rounding rules exist for: needs at or below `1e-6`,
+/// a requirement at a capacity `± EPSILON`, and a dimension whose total
+/// requirement equals its total capacity.
+fn instance(
+    seed: u64,
+    dims: usize,
+    bins: usize,
+    items: usize,
+    adversarial: bool,
+) -> ProblemInstance {
+    let mut draw = Draw::new(seed);
+    let mut nodes: Vec<Node> = (0..bins)
+        .map(|_| {
+            let agg: Vec<f64> = (0..dims).map(|_| draw.tenths(3, 10)).collect();
+            let elem = agg
+                .iter()
+                .map(|&a| draw.tenths(1, (a * 10.0) as usize))
+                .collect::<Vec<_>>();
+            Node::new(elem, agg)
+        })
+        .collect();
+    let mut services: Vec<Service> = (0..items)
+        .map(|_| {
+            let (mut re, mut ra, mut ne, mut na) = (vec![], vec![], vec![], vec![]);
+            for _ in 0..dims {
+                ra.push(draw.tenths(0, 3));
+                re.push(draw.tenths(0, (ra[ra.len() - 1] * 10.0) as usize));
+                na.push(draw.tenths(0, 6));
+                ne.push(draw.tenths(0, (na[na.len() - 1] * 10.0) as usize));
+            }
+            Service::new(re, ra, ne, na)
+        })
+        .collect();
+    if adversarial {
+        if draw.below(2) == 0 {
+            let (j, d) = (draw.below(items), draw.below(dims));
+            let need = [0.0, 5e-7, 1e-6, 2e-6][draw.below(4)];
+            services[j].need_agg[d] = need;
+            services[j].need_elem[d] = need * draw.below(2) as f64;
+        }
+        if draw.below(2) == 0 {
+            let (j, h, d) = (draw.below(items), draw.below(bins), draw.below(dims));
+            let off = (draw.below(3) as f64 - 1.0) * EPSILON;
+            let s = &mut services[j];
+            if draw.below(2) == 0 {
+                s.req_elem[d] = nodes[h].elementary[d] + off;
+                s.req_agg[d] = s.req_agg[d].max(s.req_elem[d]);
+            } else {
+                s.req_agg[d] = nodes[h].aggregate[d] + off;
+                s.req_elem[d] = s.req_elem[d].min(s.req_agg[d]);
+            }
+        }
+        if draw.below(2) == 0 {
+            // Raise the smaller side until they are equal.
+            let d = draw.below(dims);
+            let capacity: f64 = nodes.iter().map(|n| n.aggregate[d]).sum();
+            let req: f64 = services.iter().map(|s| s.req_agg[d]).sum();
+            if capacity >= req {
+                services[0].req_agg[d] += capacity - req;
+            } else {
+                nodes[0].aggregate[d] += req - capacity;
+            }
+        }
+    }
+    ProblemInstance::new(nodes, services).expect("generated instance validates")
+}
+
+fn ceiling(instance: &ProblemInstance) -> f64 {
+    VpTables::new(instance).ceiling
+}
+
+/// Yields above `ceiling` to probe: the next few floats up, then a grid.
+fn above(ceiling: f64) -> Vec<f64> {
+    let mut lambdas: Vec<f64> = (0..=24).map(|k| f64::from(k) / 20.0).collect();
+    if ceiling >= 0.0 {
+        let next = f64::from_bits(ceiling.to_bits() + 1);
+        lambdas.extend([next, ceiling + 1e-12, ceiling + 1e-9, ceiling + 1e-6]);
+    }
+    lambdas.retain(|&l| l > ceiling && l >= 0.0);
+    lambdas
+}
+
+/// What one member search returns, in comparable form.
+type Search = (MemberOutcome, f64, Option<Placement>, u32);
+
+/// The member search of [`search_member`] (unguarded) with no ceiling:
+/// every probe packs, on a fresh problem and scratch.
+fn packing_every_probe(
+    instance: &ProblemInstance,
+    member: &dyn PackingHeuristic,
+    warm: Option<f64>,
+) -> Search {
+    let probes = Cell::new(0u32);
+    let pack = |lambda: f64| {
+        probes.set(probes.get() + 1);
+        member.pack(&VpProblem::new(instance, lambda))
+    };
+    let failed = || (MemberOutcome::Failed, 0.0, None, probes.get());
+    let solved = |lo: f64, best: Placement| (MemberOutcome::Solved, lo, Some(best), probes.get());
+    let mut hi = 1.0f64;
+    let (mut lo, mut best);
+    match warm
+        .map(|h| h.clamp(0.0, 1.0))
+        .filter(|&h| h > 0.0 && h < 1.0)
+    {
+        Some(h) => {
+            let a = (h - WARM_WINDOW).max(0.0);
+            if let Some(p) = pack(a) {
+                (lo, best) = (a, p);
+                let b = (h + WARM_WINDOW).min(1.0);
+                match pack(b) {
+                    Some(p) if b >= 1.0 => return solved(1.0, p),
+                    Some(p) => {
+                        (lo, best) = (b, p);
+                        if let Some(full) = pack(1.0) {
+                            return solved(1.0, full);
+                        }
+                    }
+                    None => hi = b,
+                }
+            } else if a == 0.0 {
+                return failed();
+            } else {
+                hi = a;
+                let Some(p) = pack(0.0) else {
+                    return failed();
+                };
+                (lo, best) = (0.0, p);
+            }
+        }
+        None => {
+            let Some(p) = pack(0.0) else {
+                return failed();
+            };
+            (lo, best) = (0.0, p);
+            if let Some(full) = pack(1.0) {
+                return solved(1.0, full);
+            }
+        }
+    }
+    while hi - lo > DEFAULT_RESOLUTION {
+        let mid = 0.5 * (lo + hi);
+        match pack(mid) {
+            Some(p) => (lo, best) = (mid, p),
+            None => hi = mid,
+        }
+    }
+    solved(lo, best)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// (a) No METAHVP member packs at any yield above the ceiling.
+    #[test]
+    fn no_member_packs_above_the_ceiling(
+        (dims, bins, items, seed) in (1usize..=3, 1usize..=4, 1usize..=8, 0u64..u64::MAX)
+    ) {
+        let inst = instance(seed, dims, bins, items, true);
+        let ceiling = ceiling(&inst);
+        let meta = MetaVp::metahvp();
+        let mut scratch = PackScratch::new();
+        for lambda in above(ceiling) {
+            let vp = VpProblem::new(&inst, lambda);
+            for (i, member) in meta.members().enumerate() {
+                prop_assert!(
+                    !member.pack_with(&vp, &mut scratch),
+                    "{} packs at {lambda} above ceiling {ceiling} on {:?}",
+                    meta.member_labels()[i], (dims, bins, items, seed)
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// (b) The ceiling-skipping search ≡ the search that packs every probe:
+    /// per member alone, and on the engine at 1 and 4 threads, cold and
+    /// warm (hint inside, above and below the window, and next to 0).
+    #[test]
+    fn skipping_probes_changes_no_answer(
+        (dims, bins, items, seed) in (1usize..=3, 1usize..=6, 1usize..=16, 0u64..u64::MAX),
+        adversarial in 0usize..2
+    ) {
+        let inst = instance(seed, dims, bins, items, adversarial == 1);
+        let shape = (dims, bins, items, seed, adversarial);
+        let meta = MetaVp::metahvp_light();
+        let members: Vec<&dyn PackingHeuristic> = meta.members().collect();
+        let cold: Vec<Search> = members
+            .iter()
+            .map(|m| packing_every_probe(&inst, *m, None))
+            .collect();
+        let found = best_member(cold.iter().map(|r| r.2.as_ref().map(|_| r.1)));
+        let hints = [None, found.map(|(_, y)| y), Some(0.3), Some(0.9), Some(0.004)];
+        let mut scratch = PackScratch::new();
+        for warm in hints {
+            let expected: Vec<Search> = members
+                .iter()
+                .map(|m| packing_every_probe(&inst, *m, warm))
+                .collect();
+            for (i, member) in members.iter().enumerate() {
+                let mut vp = VpProblem::new(&inst, 0.0);
+                let guards = MemberGuards { warm, ..MemberGuards::unguarded() };
+                let run = search_member(&mut vp, *member, DEFAULT_RESOLUTION, &mut scratch, &guards);
+                let got = (run.outcome, run.lo, run.placement, run.probes);
+                prop_assert_eq!(&got, &expected[i], "member {} hint {:?} on {:?}", i, warm, shape);
+                prop_assert!(run.packs <= run.probes);
+            }
+            let winner = best_member(expected.iter().map(|r| r.2.as_ref().map(|_| r.1)));
+            let solution = winner
+                .and_then(|(i, _)| evaluate_placement(&inst, expected[i].2.as_ref().unwrap()));
+            for threads in [1, 4] {
+                let mut ctx = SolveCtx::new().with_threads(threads).with_pruning(false);
+                ctx.set_warm_hint(warm);
+                let got = meta.solve_with(&inst, &mut ctx);
+                let what = format!("threads {threads} hint {warm:?} on {shape:?}");
+                prop_assert_eq!(
+                    got.map(|s| (s.min_yield, s.placement)),
+                    solution.clone().map(|s| (s.min_yield, s.placement)),
+                    "{}", what
+                );
+                let report = ctx.take_report().unwrap();
+                for (m, e) in report.members.iter().zip(&expected) {
+                    prop_assert_eq!(
+                        (m.outcome, m.searched_yield, m.probes),
+                        (e.0, e.2.as_ref().map(|_| e.1), e.3),
+                        "member {} {}", m.member, what
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// (c) An instance with a service that fits no host at all is answered
+/// with the probes the search always made (one λ = 0 probe per member)
+/// and without a single pack.
+#[test]
+fn a_trivially_infeasible_instance_costs_no_packs() {
+    let nodes = vec![Node::multicore(4, 0.5, 1.0), Node::multicore(2, 0.8, 0.6)];
+    let fits = Service::new(
+        vec![0.2, 0.3],
+        vec![0.4, 0.3],
+        vec![0.1, 0.0],
+        vec![0.2, 0.0],
+    );
+    let too_big = Service::rigid(vec![0.9, 0.1], vec![0.9, 0.1]);
+    let inst = ProblemInstance::new(nodes, vec![fits, too_big]).unwrap();
+    assert_eq!(ceiling(&inst), f64::NEG_INFINITY);
+
+    let meta = MetaVp::metahvp();
+    let before: u64 = meta
+        .members()
+        .map(|m| u64::from(packing_every_probe(&inst, m, None).3))
+        .sum();
+    for threads in [1, 4] {
+        let mut engine = EngineHandle::new(MetaVp::metahvp()).with_threads(threads);
+        let run = engine.solve(&inst, None);
+        assert!(run.solution.is_none());
+        assert_eq!(run.probes(), before);
+        assert_eq!(before, meta.len() as u64);
+        assert_eq!(run.packs(), 0);
+        assert_eq!(run.report.unwrap().total_packs(), 0);
+    }
+}
+
+/// The ceiling bounds the exact optimum, which bounds every heuristic:
+/// `λ̂ ≥ MILP optimum ≥ every METAHVP member's yield`, to within `1e-6`.
+#[test]
+fn the_ceiling_bounds_the_optimum_which_bounds_every_member() {
+    let meta = MetaVp::metahvp();
+    let (mut optima, mut interior) = (0, 0);
+    for seed in 0..200u64 {
+        let mut draw = Draw::new(seed ^ 0xb0d);
+        let (bins, items) = (1 + draw.below(3), 1 + draw.below(6));
+        let inst = instance(seed, 2, bins, items, false);
+        let ceiling = ceiling(&inst);
+        let optimum = ExactMilp::default().solve(&inst).map(|s| s.min_yield);
+        for (i, member) in meta.members().enumerate() {
+            let got = VpAlgorithm::new(member).solve(&inst).map(|s| s.min_yield);
+            let label = &meta.member_labels()[i];
+            match (got, optimum) {
+                (Some(y), Some(opt)) => {
+                    assert!(y <= opt + 1e-6, "seed {seed}: {label} {y} > optimum {opt}")
+                }
+                (Some(y), None) => panic!("seed {seed}: {label} reaches {y}, MILP infeasible"),
+                (None, _) => {}
+            }
+        }
+        if let Some(opt) = optimum {
+            assert!(
+                ceiling >= opt - 1e-6,
+                "seed {seed}: ceiling {ceiling} < optimum {opt}"
+            );
+            optima += 1;
+            interior += usize::from(opt > 0.0 && opt < 1.0);
+        }
+    }
+    // The instances must exercise the bound, not only infeasibility.
+    assert!(
+        optima >= 100 && interior >= 40,
+        "{optima} feasible, {interior} interior"
+    );
+}

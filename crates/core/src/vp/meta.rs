@@ -319,6 +319,7 @@ impl Algorithm for MetaVp {
                 outcome: o.run.outcome,
                 searched_yield: o.run.placement.as_ref().map(|_| o.run.lo),
                 probes: o.run.probes,
+                packs: o.run.packs,
                 wall: o.wall,
             })
             .collect();

@@ -3,14 +3,24 @@
 //! For a fixed target yield `λ` every service becomes an *item* with
 //! elementary size `rᵉ + λ·nᵉ` and aggregate size `rᵃ + λ·nᵃ`, and every
 //! node a *bin* with its two capacity vectors; a packing heuristic either
-//! places all items or fails. Since item sizes grow monotonically with `λ`,
-//! a binary search (resolution `1e-4`, as in the paper) finds the largest
-//! yield for which the heuristic still succeeds. The returned solution is
-//! then re-evaluated with the shared water-filling evaluator, which can only
-//! improve on the searched lower bound.
+//! places all items or fails. A binary search (resolution `1e-4`, as in the
+//! paper) then looks for the largest yield at which the heuristic still
+//! succeeds. Item sizes grow with `λ`, but a heuristic's *success* is not
+//! proven monotone: item orders are sorted on the `λ`-scaled sizes, so the
+//! packing order changes with `λ`, and the search assumes rather than
+//! proves that one success implies success at every lower yield. The
+//! returned solution is then re-evaluated with the shared water-filling
+//! evaluator, which can only improve on the searched lower bound.
+//!
+//! A **yield ceiling** `λ̂` (built once per solve with the capacity tables)
+//! bounds every yield at which *any* placement passes the fit test, whatever
+//! the packing order; the search answers probes above it "fails" without
+//! packing. That needs no monotonicity: no packing exists there at all.
 
 mod best_fit;
 pub(crate) mod binary_search;
+#[cfg(test)]
+mod ceiling_tests;
 mod first_fit;
 mod meta;
 pub mod ordering;
@@ -29,18 +39,28 @@ pub use sortkey::{BinSort, ItemSort, SortOrder, VectorMetric};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use vmplace_model::{Placement, ProblemInstance, EPSILON};
+use vmplace_model::{Placement, ProblemInstance, ResourceVector, EPSILON};
+
+/// Capacity slack added to every numerator of the yield ceiling: far above
+/// the f64 rounding of the fit test's sums, far below `EPSILON`.
+const CEILING_SLACK: f64 = 1e-10;
+
+/// Needs at or below this are left out of the yield ceiling (leaving a
+/// dimension out can only raise it).
+const CEILING_MIN_NEED: f64 = 1e-6;
 
 /// Everything a probe reads that does not depend on the target yield:
-/// flat `H×D` capacity tables (the `+ EPSILON` of the fit test folded in)
-/// and the bin order of every [`BinSort`] a member asks for. Built once
-/// per solve and shared by every member's [`VpProblem`].
+/// flat `H×D` capacity tables (the `+ EPSILON` of the fit test folded in),
+/// the yield ceiling, and the bin order of every [`BinSort`] a member asks
+/// for. Built once per solve and shared by every member's [`VpProblem`].
 pub(crate) struct VpTables {
     /// Process-unique identity; keys the per-worker item-order memo.
     id: u64,
     elem_cap: Vec<f64>,  // H×D, elementary + EPSILON
     agg_cap: Vec<f64>,   // H×D, aggregate + EPSILON
     aggregate: Vec<f64>, // H×D, raw
+    /// No placement passes the fit test at a yield above this.
+    ceiling: f64,
     bin_orders: [OnceLock<Vec<usize>>; BinSort::COUNT],
 }
 
@@ -53,6 +73,7 @@ impl VpTables {
             elem_cap: Vec::with_capacity(cells),
             agg_cap: Vec::with_capacity(cells),
             aggregate: Vec::with_capacity(cells),
+            ceiling: f64::INFINITY,
             bin_orders: Default::default(),
         };
         for node in instance.nodes() {
@@ -62,8 +83,57 @@ impl VpTables {
                 tables.aggregate.push(node.aggregate[d]);
             }
         }
+        tables.ceiling = tables.yield_ceiling(instance);
         tables
     }
+
+    /// The yield ceiling `λ̂`, read off the tables [`VpProblem::fits`]
+    /// compares against: the minimum of
+    /// * per dimension, the free aggregate capacity over the total need
+    ///   (every placed item's load lands in some bin), and
+    /// * per service, the largest yield at which it fits some empty bin
+    ///   (`−∞` when it fits none even at `λ = 0`).
+    fn yield_ceiling(&self, instance: &ProblemInstance) -> f64 {
+        let dims = instance.dims();
+        let services = instance.services();
+        let mut ceiling = f64::INFINITY;
+        for d in 0..dims {
+            let need: f64 = services.iter().map(|s| s.need_agg[d]).sum();
+            if need > CEILING_MIN_NEED {
+                let capacity: f64 = self.agg_cap.iter().skip(d).step_by(dims).sum();
+                let req: f64 = services.iter().map(|s| s.req_agg[d]).sum();
+                ceiling = ceiling.min((capacity - req + CEILING_SLACK) / need);
+            }
+        }
+        for s in services {
+            let mut best = f64::NEG_INFINITY;
+            for row in (0..instance.num_nodes()).map(|h| h * dims..(h + 1) * dims) {
+                let elem = yield_limit(&s.req_elem, &s.need_elem, &self.elem_cap[row.clone()]);
+                let agg = yield_limit(&s.req_agg, &s.need_agg, &self.agg_cap[row]);
+                best = best.max(elem.min(agg));
+                if best >= ceiling {
+                    break; // this service can no longer lower the ceiling
+                }
+            }
+            ceiling = ceiling.min(best);
+        }
+        ceiling
+    }
+}
+
+/// The largest `λ` with `req + λ·need ≤ cap` in every dimension, up to the
+/// ceiling's slack; `−∞` when `req` alone exceeds `cap`.
+fn yield_limit(req: &ResourceVector, need: &ResourceVector, cap: &[f64]) -> f64 {
+    let mut limit = f64::INFINITY;
+    for (d, &cap) in cap.iter().enumerate() {
+        if req[d] > cap {
+            return f64::NEG_INFINITY;
+        }
+        if need[d] > CEILING_MIN_NEED {
+            limit = limit.min((cap - req[d] + CEILING_SLACK) / need[d]);
+        }
+    }
+    limit
 }
 
 /// A vector-packing view of an instance at a fixed target yield
@@ -167,6 +237,13 @@ impl<'a> VpProblem<'a> {
     #[inline]
     pub fn item_elem(&self, j: usize) -> &[f64] {
         &self.item_elem[j * self.dims..(j + 1) * self.dims]
+    }
+
+    /// The yield ceiling `λ̂` of the instance: no placement passes
+    /// [`VpProblem::fits`] for every item at a yield above it.
+    #[inline]
+    pub(crate) fn ceiling(&self) -> f64 {
+        self.tables.ceiling
     }
 
     /// Aggregate capacity vector of bin `h`.

@@ -216,7 +216,7 @@ fn cmd_solve(args: &[String]) {
 fn print_report(report: &vmplace::core::PortfolioReport) {
     use vmplace::core::MemberOutcome;
     eprintln!(
-        "# engine {}: {} members on {} threads in {:.1} ms — {} solved, {} pruned, {} failed, {} timed out, {} probes",
+        "# engine {}: {} members on {} threads in {:.1} ms — {} solved, {} pruned, {} failed, {} timed out, probes {} (packs {})",
         report.algorithm,
         report.members.len(),
         report.threads,
@@ -226,6 +226,7 @@ fn print_report(report: &vmplace::core::PortfolioReport) {
         report.count(MemberOutcome::Failed),
         report.count(MemberOutcome::TimedOut) + report.count(MemberOutcome::Skipped),
         report.total_probes(),
+        report.total_packs(),
     );
     let mut solved: Vec<_> = report
         .members
