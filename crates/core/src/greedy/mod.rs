@@ -264,6 +264,8 @@ impl Algorithm for MetaGreedy {
             wall: started.elapsed(),
             winner: winner.map(|(i, _)| i),
             members: member_reports,
+            lambda_hat: None,
+            ceiling: None,
         });
 
         let (index, _) = winner?;

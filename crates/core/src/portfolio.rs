@@ -85,6 +85,11 @@ pub struct PortfolioReport {
     pub winner: Option<usize>,
     /// Per-member telemetry, in roster order.
     pub members: Vec<MemberReport>,
+    /// The capacity bound `λ̂` of a binary-search portfolio (`None` on
+    /// the other engines).
+    pub lambda_hat: Option<f64>,
+    /// The yield ceiling its probes were skipped above, `≤ λ̂`.
+    pub ceiling: Option<f64>,
 }
 
 impl PortfolioReport {

@@ -222,6 +222,8 @@ impl Algorithm for RandomizedRounding {
             wall: started.elapsed(),
             winner,
             members,
+            lambda_hat: None,
+            ceiling: None,
         });
 
         let index = winner?;

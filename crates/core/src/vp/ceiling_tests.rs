@@ -1,11 +1,17 @@
-//! The yield ceiling `λ̂` (see [`VpTables`]):
+//! The yield ceiling (see [`VpTables`]), `λ̂` lowered by the fit-set check:
 //!
 //! * (a) admissibility: no METAHVP member packs at any yield above it,
-//!   including on instances built to stress its rounding rules;
+//!   including on instances built to stress its rounding rules and on node
+//!   classes whose fit sets nest and cross;
 //! * (b) the ceiling-skipping member search ≡ a search that packs every
 //!   probe, cold and warm, alone and on the engine at 1 and 4 threads;
 //! * (c) a trivially infeasible instance costs the same probes and no packs;
-//! * the ordering `λ̂ ≥ MILP optimum ≥ every METAHVP member's yield`.
+//! * the ordering `ceiling ≥ MILP optimum ≥ every METAHVP member's yield`;
+//! * (i) an instance where the check, not `λ̂`, gives the exact optimum,
+//!   and one where a fit set carries the load of a set nested inside it;
+//! * (ii) on node classes, the ceiling ≥ MILP optimum, and strictly below
+//!   `λ̂` in ≥ 25% of cases;
+//! * (iii) rigid services that overflow their only node cost no packs.
 
 use super::binary_search::{search_member, MemberGuards, WARM_WINDOW};
 use super::{
@@ -347,4 +353,212 @@ fn the_ceiling_bounds_the_optimum_which_bounds_every_member() {
         optima >= 100 && interior >= 40,
         "{optima} feasible, {interior} interior"
     );
+}
+
+/// A random instance on two or three node classes, so that fit sets nest
+/// and cross as the yield grows. Class 0 is node 0 alone, with elementary
+/// capacity 1.0 in dimension 0, where no other class exceeds 0.6; every
+/// third service requires more than 0.6 there, so it fits node 0 only. The
+/// other classes share the remaining nodes and are drawn freely, so in two
+/// or more dimensions a class can be the bigger one in one dimension and
+/// the smaller in another. Loads at capacity ± `EPSILON`: half the
+/// instances put a requirement on a class's elementary capacity, and half
+/// put the node-0-only services' total requirement on node 0's aggregate
+/// capacity.
+fn classed_instance(seed: u64, dims: usize, bins: usize, items: usize) -> ProblemInstance {
+    let mut draw = Draw::new(seed ^ 0xc1a55);
+    let classes = 2 + draw.below(2);
+    let profiles: Vec<Node> = (0..classes)
+        .map(|c| {
+            let elem: Vec<f64> = (0..dims)
+                .map(|d| match (c, d) {
+                    (0, 0) => 1.0,
+                    (_, 0) => draw.tenths(2, 6),
+                    _ => draw.tenths(2, 10),
+                })
+                .collect();
+            let agg = elem
+                .iter()
+                .map(|&e| e + draw.tenths(2, 10))
+                .collect::<Vec<_>>();
+            Node::new(elem, agg)
+        })
+        .collect();
+    let class = |h: usize| {
+        if h == 0 {
+            0
+        } else {
+            1 + (h - 1) % (classes - 1)
+        }
+    };
+    let nodes: Vec<Node> = (0..bins).map(|h| profiles[class(h)].clone()).collect();
+    let big = |j: usize| j % 3 == 0;
+    let mut services: Vec<Service> = (0..items)
+        .map(|j| {
+            let (mut re, mut ra, mut ne, mut na) = (vec![], vec![], vec![], vec![]);
+            for d in 0..dims {
+                re.push(if big(j) && d == 0 {
+                    draw.tenths(7, 8)
+                } else {
+                    draw.tenths(0, 3)
+                });
+                ra.push(re[d] + draw.tenths(0, 1));
+                ne.push(draw.tenths(0, 6));
+                na.push(ne[d] + draw.tenths(0, 2));
+            }
+            Service::new(re, ra, ne, na)
+        })
+        .collect();
+    let off = (draw.below(3) as f64 - 1.0) * EPSILON;
+    if draw.below(2) == 0 {
+        let (j, c, d) = (draw.below(items), draw.below(classes), draw.below(dims));
+        let s = &mut services[j];
+        s.req_elem[d] = profiles[c].elementary[d] + off;
+        s.req_agg[d] = s.req_agg[d].max(s.req_elem[d]);
+    } else {
+        let capacity = nodes[0].aggregate[0];
+        let req: f64 = (0..items)
+            .filter(|&j| big(j))
+            .map(|j| services[j].req_agg[0])
+            .sum();
+        if req < capacity {
+            services[0].req_agg[0] += capacity - req + off;
+        }
+    }
+    ProblemInstance::new(nodes, services).expect("generated instance validates")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// (a) and (ii) on nested and crossing fit sets: no METAHVP member packs at any
+    /// yield above the ceiling.
+    #[test]
+    fn no_member_packs_above_the_fit_set_ceiling(
+        (dims, bins, items, seed) in (1usize..=3, 2usize..=6, 2usize..=12, 0u64..u64::MAX)
+    ) {
+        let inst = classed_instance(seed, dims, bins, items);
+        let ceiling = ceiling(&inst);
+        let meta = MetaVp::metahvp();
+        let mut scratch = PackScratch::new();
+        for lambda in above(ceiling) {
+            let vp = VpProblem::new(&inst, lambda);
+            for (i, member) in meta.members().enumerate() {
+                prop_assert!(
+                    !member.pack_with(&vp, &mut scratch),
+                    "{} packs at {lambda} above ceiling {ceiling} on {:?}",
+                    meta.member_labels()[i], (dims, bins, items, seed)
+                );
+            }
+        }
+    }
+}
+
+/// (ii) On nested and crossing fit sets, the ceiling still bounds the exact
+/// optimum, and it sits strictly below `λ̂` often enough that the fit-set
+/// check, not `λ̂`, is what these instances test.
+#[test]
+fn on_node_classes_the_fit_set_ceiling_bounds_the_optimum_below_the_hat() {
+    let (mut optima, mut below_hat, cases) = (0, 0, 200);
+    for seed in 0..cases {
+        let mut draw = Draw::new(seed ^ 0xf17);
+        let (bins, items) = (2 + draw.below(3), 2 + draw.below(6));
+        let inst = classed_instance(seed, 2, bins, items);
+        let tables = VpTables::new(&inst);
+        assert!(tables.ceiling <= tables.lambda_hat, "seed {seed}");
+        below_hat += usize::from(tables.ceiling < tables.lambda_hat);
+        if let Some(opt) = ExactMilp::default().solve(&inst).map(|s| s.min_yield) {
+            assert!(
+                tables.ceiling >= opt - 1e-6,
+                "seed {seed}: ceiling {} < optimum {opt}",
+                tables.ceiling
+            );
+            optima += 1;
+        }
+    }
+    assert!(optima >= 50, "{optima} feasible of {cases}");
+    assert!(
+        4 * below_hat >= cases as usize,
+        "{below_hat} of {cases} below λ̂"
+    );
+}
+
+/// (i) Two services that fit node B only at low yields: `λ̂` is above 1,
+/// but above yield 0.4 both fit only node A, which holds them up to 0.8.
+#[test]
+fn the_fit_set_ceiling_is_exact_where_capacity_is_not() {
+    let nodes = vec![
+        Node::new(vec![1.0], vec![1.0]),
+        Node::new(vec![0.3], vec![1.0]),
+    ];
+    let svc = Service::new(vec![0.1], vec![0.1], vec![0.5], vec![0.5]);
+    let inst = ProblemInstance::new(nodes, vec![svc.clone(), svc]).unwrap();
+    let tables = VpTables::new(&inst);
+    assert!(tables.lambda_hat >= 1.0, "λ̂ {}", tables.lambda_hat);
+    assert!(
+        (tables.ceiling - 0.8).abs() < 1e-6,
+        "ceiling {}",
+        tables.ceiling
+    );
+    let answer = MetaVp::metahvp().solve(&inst).unwrap().min_yield;
+    assert!((answer - 0.8).abs() < 1e-4, "METAHVP {answer}");
+}
+
+/// Nested fit sets: a rigid service fits node A only, two growing ones fit
+/// A and B. The set {A, B} must also carry the rigid service's load, which
+/// caps the yield at 0.45 where each set alone would allow 0.8 (`λ̂`).
+#[test]
+fn a_fit_set_carries_the_load_of_the_sets_inside_it() {
+    let nodes = vec![
+        Node::new(vec![1.0], vec![1.0]),
+        Node::new(vec![0.6], vec![1.0]),
+        Node::new(vec![0.1], vec![1.0]),
+    ];
+    let grows = Service::new(vec![0.2], vec![0.2], vec![0.4], vec![1.0]);
+    let services = vec![Service::rigid(vec![0.7], vec![0.7]), grows.clone(), grows];
+    let inst = ProblemInstance::new(nodes, services).unwrap();
+    let tables = VpTables::new(&inst);
+    assert!(
+        (tables.lambda_hat - 0.8).abs() < 1e-6,
+        "λ̂ {}",
+        tables.lambda_hat
+    );
+    assert!(
+        (tables.ceiling - 0.45).abs() < 1e-6,
+        "ceiling {}",
+        tables.ceiling
+    );
+    let answer = MetaVp::metahvp().solve(&inst).unwrap().min_yield;
+    assert!((answer - 0.3).abs() < 1e-4, "METAHVP {answer}");
+}
+
+/// (iii) Two rigid services that each fit node A only and together
+/// overflow it: `λ̂` is unbounded, the fit-set check fails at `λ = 0`, and
+/// the instance is answered with the probes of a search that packs every
+/// probe and no pack at all.
+#[test]
+fn rigid_services_overflowing_their_only_node_cost_no_packs() {
+    let nodes = vec![
+        Node::new(vec![1.0], vec![1.0]),
+        Node::new(vec![0.3], vec![1.0]),
+    ];
+    let rigid = Service::rigid(vec![0.6], vec![0.6]);
+    let inst = ProblemInstance::new(nodes, vec![rigid.clone(), rigid]).unwrap();
+    let tables = VpTables::new(&inst);
+    assert_eq!(tables.lambda_hat, f64::INFINITY);
+    assert_eq!(tables.ceiling, f64::NEG_INFINITY);
+
+    let meta = MetaVp::metahvp();
+    let before: u64 = meta
+        .members()
+        .map(|m| u64::from(packing_every_probe(&inst, m, None).3))
+        .sum();
+    for threads in [1, 4] {
+        let mut engine = EngineHandle::new(MetaVp::metahvp()).with_threads(threads);
+        let run = engine.solve(&inst, None);
+        assert!(run.solution.is_none());
+        assert_eq!(run.probes(), before);
+        assert_eq!(run.packs(), 0);
+        assert_eq!(run.report.unwrap().total_packs(), 0);
+    }
 }

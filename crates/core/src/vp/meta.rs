@@ -330,6 +330,8 @@ impl Algorithm for MetaVp {
             wall: started.elapsed(),
             winner: winner.map(|(i, _)| i),
             members,
+            lambda_hat: Some(tables.lambda_hat),
+            ceiling: Some(tables.ceiling),
         });
 
         let (index, _) = winner?;

@@ -165,7 +165,7 @@ fn cmd_solve(args: &[String]) {
     let report = ctx.take_report();
     if args.iter().any(|a| a == "--report") {
         if let Some(report) = &report {
-            print_report(report);
+            print_report(report, solution.as_ref().map(|s| s.min_yield));
         }
     }
 
@@ -211,9 +211,10 @@ fn cmd_solve(args: &[String]) {
     }
 }
 
-/// Prints the engine's per-member telemetry: summary counts plus the
-/// completed members ranked by searched yield.
-fn print_report(report: &vmplace::core::PortfolioReport) {
+/// Prints the engine's per-member telemetry: summary counts, the yield
+/// bounds against the achieved yield, and the completed members ranked by
+/// searched yield.
+fn print_report(report: &vmplace::core::PortfolioReport, achieved: Option<f64>) {
     use vmplace::core::MemberOutcome;
     eprintln!(
         "# engine {}: {} members on {} threads in {:.1} ms — {} solved, {} pruned, {} failed, {} timed out, probes {} (packs {})",
@@ -228,6 +229,15 @@ fn print_report(report: &vmplace::core::PortfolioReport) {
         report.total_probes(),
         report.total_packs(),
     );
+    if let (Some(ceiling), Some(lambda_hat)) = (report.ceiling, report.lambda_hat) {
+        match achieved {
+            Some(y) => eprintln!(
+                "# ceiling {ceiling:.4} (λ̂ {lambda_hat:.4}), achieved {y:.4}, gap {:.4}",
+                ceiling.min(1.0) - y
+            ),
+            None => eprintln!("# ceiling {ceiling:.4} (λ̂ {lambda_hat:.4}), no placement"),
+        }
+    }
     let mut solved: Vec<_> = report
         .members
         .iter()
