@@ -4,13 +4,13 @@
 //!
 //! The wire adds parse + frame + two socket hops per request; on solver
 //! traffic (milliseconds per request) that overhead must disappear into
-//! the noise — `BENCH_net.json` (see the `net_stats` example) quantifies
-//! it across a connections × workers grid.
+//! the noise — the `serve_*` workloads of `benchmark/` measure it end to
+//! end under load.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vmplace_model::{AllocRequest, RequestKind};
 use vmplace_net::wire::PROTOCOL_V2;
-use vmplace_net::{codec, Client, IoBackend, Server, ServerConfig};
+use vmplace_net::{codec, Client, Server, ServerConfig};
 use vmplace_service::trace_io::{write_request, BlockAssembler};
 use vmplace_service::{ServiceConfig, SolverPool};
 use vmplace_sim::{ScenarioConfig, TraceConfig};
@@ -67,27 +67,12 @@ fn bench_net(c: &mut Criterion) {
         },
     )
     .expect("bind loopback");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    group.bench_function("loopback_threads_v1", |b| {
-        b.iter(|| client.replay(&trace).expect("remote replay"))
-    });
-    drop(client);
-    drop(server);
-
-    let server = Server::bind(
-        "127.0.0.1:0",
-        &ServerConfig {
-            service: config.clone(),
-            io: IoBackend::Events,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
-    let mut client = Client::connect_with(server.local_addr(), PROTOCOL_V2).expect("connect");
-    group.bench_function("loopback_events_v2", |b| {
-        b.iter(|| client.replay(&trace).expect("remote replay"))
-    });
-    drop(client);
+    for wire in [1, PROTOCOL_V2] {
+        let mut client = Client::connect_with(server.local_addr(), wire).expect("connect");
+        group.bench_function(format!("loopback_v{wire}"), |b| {
+            b.iter(|| client.replay(&trace).expect("remote replay"))
+        });
+    }
     drop(server);
 
     // Codec alone, no sockets: one instance-carrying New body through

@@ -1,4 +1,4 @@
-//! The event-driven I/O core: a few loop threads multiplexing every
+//! The connection I/O core: a few loop threads multiplexing every
 //! connection socket via `poll(2)` readiness.
 //!
 //! Each accepted connection is assigned (round-robin by connection id)
@@ -7,9 +7,8 @@
 //! loop blocks in `poll(2)` until a socket is readable/writable, a
 //! deadline (drain grace, write stall) is due, or another thread wakes
 //! it through the loop's self-pipe — so **idle connections cost zero
-//! wake-ups**, where the threaded backend burns one wake-up per
-//! connection per 100 ms ([`Server::io_wakeups`] measures both; the
-//! idle suite in `tests/integration_net.rs` pins the difference).
+//! wake-ups** ([`Server::io_wakeups`] counts them; the idle suite in
+//! `tests/integration_net.rs` pins the zero).
 //!
 //! `poll(2)` is reached through a hand-declared FFI binding behind the
 //! [`EventedIo`] trait (std-only builds, no libc crate); the trait is
@@ -25,7 +24,7 @@
 
 use crate::server::{
     bye_frame, error_frame, greeting_frame, pong_frame, response_frame, stats_frame, stats_json,
-    ConnProto, Flow, Meta, Pending, Shared, DRAIN_GRACE, READ_POLL, WRITE_TIMEOUT,
+    ConnProto, Flow, Meta, Pending, Shared, DRAIN_GRACE, DRAIN_QUIET, WRITE_TIMEOUT,
 };
 use crate::wire::codes;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -59,7 +58,6 @@ pub(crate) const POLLNVAL: i16 = 0x020;
 /// error the read will surface.
 pub(crate) const READABLE: i16 = POLLIN | POLLERR | POLLHUP | POLLNVAL;
 
-#[cfg(unix)]
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int)
         -> std::ffi::c_int;
@@ -80,7 +78,6 @@ pub(crate) trait EventedIo {
 /// into a 0 ms busy spin).
 pub(crate) struct PollIo;
 
-#[cfg(unix)]
 impl EventedIo for PollIo {
     fn wait(&mut self, fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
         let timeout_ms: std::ffi::c_int = match timeout {
@@ -95,6 +92,13 @@ impl EventedIo for PollIo {
             }
         };
         loop {
+            // SAFETY: `fds` is a live, exclusively borrowed slice, so the
+            // pointer addresses `fds.len()` initialised entries, each laid
+            // out exactly as C's `struct pollfd` (`#[repr(C)]`, pinned by
+            // `poll_fd_matches_struct_pollfd`). On Linux `nfds_t` is
+            // `unsigned long`, so the length passes unchanged. The kernel
+            // reads `fd`/`events` and writes only `revents`, within those
+            // entries, and keeps no pointer past the call's return.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
             if rc >= 0 {
                 return Ok(rc as usize);
@@ -106,16 +110,6 @@ impl EventedIo for PollIo {
             // EINTR: retry. The loop re-derives its deadlines on every
             // iteration, so re-waiting the full timeout is harmless.
         }
-    }
-}
-
-#[cfg(not(unix))]
-impl EventedIo for PollIo {
-    fn wait(&mut self, _fds: &mut [PollFd], _timeout: Option<Duration>) -> std::io::Result<usize> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "the events I/O backend requires poll(2); use --io threads",
-        ))
     }
 }
 
@@ -242,7 +236,7 @@ struct EConn {
     out: Vec<u8>,
     out_pos: usize,
     /// Response frames fully queued (the fault plans' drop-point
-    /// counter, mirroring the threaded writer's).
+    /// counter).
     frames: u64,
     /// Intake open: the socket is polled for readability.
     reading: bool,
@@ -317,18 +311,17 @@ impl EConn {
         if draining && self.reading {
             if let Some(seen) = self.drain_seen {
                 note(seen + DRAIN_GRACE);
-                note(seen.max(self.last_read) + READ_POLL);
+                note(seen.max(self.last_read) + DRAIN_QUIET);
             }
         }
         deadline
     }
 
     /// Drain bookkeeping, run once per poll round while draining: starts
-    /// the grace window, closes intake after a quiet [`READ_POLL`]
+    /// the grace window, closes intake after a quiet [`DRAIN_QUIET`]
     /// interval (frames already in flight still arrive through poll
     /// readiness), and force-fails a client still streaming at the grace
-    /// deadline — the same ladder the threaded reader implements with
-    /// its read timeouts.
+    /// deadline.
     fn note_drain(&mut self, now: Instant) {
         let seen = *self.drain_seen.get_or_insert(now);
         if !self.reading {
@@ -339,7 +332,7 @@ impl EConn {
         if now.duration_since(seen) > DRAIN_GRACE {
             proto.fail(codes::DRAINING, "server is draining".into(), &mut sink);
             self.reading = false;
-        } else if now.duration_since(seen.max(self.last_read)) >= READ_POLL {
+        } else if now.duration_since(seen.max(self.last_read)) >= DRAIN_QUIET {
             proto.on_eof(&mut sink);
             self.reading = false;
         }
@@ -387,8 +380,7 @@ impl EConn {
         if !self.out_empty() {
             if let Some(stalled) = self.stalled_since {
                 if stalled.elapsed() > WRITE_TIMEOUT {
-                    // A non-reading client mid-frame: tear down, exactly
-                    // like the threaded writer's write timeout.
+                    // A non-reading client mid-frame: tear down.
                     self.teardown();
                     return;
                 }
@@ -449,8 +441,7 @@ impl EConn {
         }
     }
 
-    /// Queues raw bytes, honoring injected short writes and delays
-    /// (chaos parity with the threaded writer's `emit`).
+    /// Queues raw bytes, honoring injected short writes and delays.
     fn append(&mut self, shared: &Shared, bytes: &[u8]) {
         if self.torn {
             return;
@@ -502,8 +493,8 @@ impl EConn {
 
     /// Pushes the outbound ring into the socket without blocking;
     /// `WouldBlock` arms the stall clock, progress resets it, genuine
-    /// errors tear the connection down (never a fresh frame after a
-    /// torn one — the writer-teardown contract).
+    /// errors tear the connection down (the peer never sees a fresh
+    /// frame after a torn one).
     fn flush(&mut self) {
         if self.torn {
             return;
@@ -590,8 +581,8 @@ fn event_loop<E: EventedIo>(
         }
         for conn_id in dead {
             if let Some(conn) = conns.remove(&conn_id) {
-                // Completions already delivered but never written — the
-                // writer-teardown contract counts them as dropped.
+                // Completions already delivered but never written count
+                // as dropped.
                 shared.metrics.responses_dropped.add(conn.heap.len() as u64);
             }
             // FIFO per worker orders the retirement after everything the
@@ -678,9 +669,19 @@ fn event_loop<E: EventedIo>(
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn poll_fd_matches_struct_pollfd() {
+        // C: struct pollfd { int fd; short events; short revents; }.
+        assert_eq!(std::mem::size_of::<PollFd>(), 8);
+        assert_eq!(std::mem::align_of::<PollFd>(), 4);
+        assert_eq!(std::mem::offset_of!(PollFd, fd), 0);
+        assert_eq!(std::mem::offset_of!(PollFd, events), 4);
+        assert_eq!(std::mem::offset_of!(PollFd, revents), 6);
+    }
 
     #[test]
     fn poll_io_reports_readiness_and_timeouts() {

@@ -8,9 +8,8 @@
 //! extended with connection control frames) and the v2 length-prefixed
 //! binary framing of [`codec`] — routing requests into the resident
 //! [`vmplace_service::SolverPool`], plus a blocking, pipelining
-//! [`Client`]. Connection sockets are driven by one of two I/O
-//! backends ([`IoBackend`]): thread-per-connection, or a few
-//! `poll(2)`-based event-loop threads multiplexing all sockets.
+//! [`Client`]. Connection sockets are driven by a few `poll(2)`-based
+//! event-loop threads multiplexing all sockets.
 //!
 //! Properties the integration suite (`tests/integration_net.rs`) pins:
 //!
@@ -29,7 +28,8 @@
 //!   connections with a `draining` greeting, and is idempotent.
 //!
 //! See `crates/net/README.md` for the frame grammar, versioning and
-//! error codes, and `BENCH_net.json` for loopback overhead measurements.
+//! error codes; the `serve_*` workloads of `benchmark/` measure the
+//! loopback path end to end.
 
 #![warn(missing_docs)]
 
@@ -42,5 +42,5 @@ pub mod wire;
 
 pub use client::{Client, Responses};
 pub use retry::{replay_resilient, replay_resilient_with, RetryPolicy};
-pub use server::{render_stats, IoBackend, Server, ServerConfig};
+pub use server::{render_stats, Server, ServerConfig};
 pub use wire::NetError;

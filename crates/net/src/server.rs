@@ -1,29 +1,25 @@
-//! The TCP front-end: acceptor, connection I/O backends, graceful drain.
+//! The TCP front-end: acceptor, protocol engine, graceful drain.
 //!
 //! ```text
-//!            acceptor thread
-//!                  │ accept()
-//!     ┌────────────┴──────────────┐ ServerConfig::io
-//!     ▼ Threads                   ▼ Events
-//!   per connection:            a few event-loop threads
-//!   reader thread +            (crate::event) multiplexing
-//!   writer thread              every socket via poll(2)
-//!        │      ▲                  │      ▲
-//!        ▼      │                  ▼      │
-//!   SolverPool ─┘ completion sink ─┴──────┘
-//!               (routes by the connection bits of the response id)
+//!               acceptor thread
+//!                     │ accept()
+//!                     ▼
+//!   a few event-loop threads (crate::event)
+//!   multiplexing every socket via poll(2)
+//!                │      ▲
+//!                ▼      │
+//!         SolverPool ───┘ completion sink
+//!   (routes by the connection bits of the response id)
 //! ```
 //!
-//! Both backends drive the same protocol engine, [`ConnProto`]: a
+//! Every connection runs the same protocol engine, [`ConnProto`]: a
 //! byte-fed state machine that performs the version handshake, parses
 //! v1 text lines or v2 binary frames, remaps ids, submits to the shared
 //! [`SolverPool`] and narrates the submission order as [`Meta`] events.
-//! The threaded backend feeds it from a blocking reader thread and
-//! replays the metas on a writer thread; the event backend feeds it
-//! from non-blocking reads and drains the metas into per-connection
-//! outbound byte rings. Because the engine is shared, the two backends
-//! are wire-identical — the differential suite pins them to each other
-//! and to the in-process pool bit for bit.
+//! The event loop that owns the connection feeds it from non-blocking
+//! reads and drains the metas into the connection's outbound byte ring;
+//! the differential suite pins the result to the in-process pool bit
+//! for bit.
 //!
 //! Requests are submitted to the shared [`SolverPool`] in sink
 //! (completion-callback) mode. Because different streams of one
@@ -50,13 +46,12 @@ use crate::wire::{
     self, codes, write_response, MAX_BODY_LINES, MAX_LINE_BYTES, MAX_PROTOCOL_VERSION,
     MAX_STREAM_ID, PROTOCOL_V2, PROTOCOL_VERSION,
 };
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use vmplace_model::{AllocRequest, AllocResponse};
@@ -74,14 +69,10 @@ pub(crate) const SEQ_MASK: u64 = (1 << CONN_SHIFT) - 1;
 /// further ones rather than alias ids across tenants.
 const CONN_LIMIT: u64 = 1 << (64 - CONN_SHIFT);
 
-/// Threaded-backend socket read timeout: how often an idle reader wakes
-/// to check the draining flag — and the reason the threaded backend
-/// burns N wake-ups per 100 ms with N idle connections (measured by
-/// [`Server::io_wakeups`]; the event backend blocks until readiness
-/// instead). The same interval serves as the drain's quiet window in
-/// both backends: requests flushed before the drain began are still
-/// read and answered, and the first quiet interval ends the connection.
-pub(crate) const READ_POLL: std::time::Duration = std::time::Duration::from_millis(100);
+/// The drain's quiet window: once a drain begins, requests flushed
+/// before it are still read and answered, and the first interval this
+/// long without incoming bytes ends the connection's intake.
+pub(crate) const DRAIN_QUIET: std::time::Duration = std::time::Duration::from_millis(100);
 
 /// How long a draining connection keeps accepting frames from a client
 /// that never goes quiet. Frames already buffered at drain time are
@@ -89,41 +80,16 @@ pub(crate) const READ_POLL: std::time::Duration = std::time::Duration::from_mill
 /// streaming client from holding the drain open forever.
 pub(crate) const DRAIN_GRACE: std::time::Duration = std::time::Duration::from_millis(500);
 
-/// Socket write timeout: a client that pipelines requests but never
-/// reads responses must not wedge its connection's writer forever once
-/// the kernel send buffer fills — the drain waits on every writer. On
-/// expiry the connection is torn down.
+/// Write stall limit: a client that pipelines requests but never reads
+/// responses must not hold its connection (and so the drain) open
+/// forever once the kernel send buffer fills. After this long without
+/// write progress the connection is torn down (a refused connection's
+/// one-line answer gives up after it too).
 pub(crate) const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// Acceptor back-off after a file-descriptor-exhaustion accept failure
 /// (also advertised as the rejection's `retry-after-ms` hint).
 const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(20);
-
-/// Which I/O engine drives connection sockets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IoBackend {
-    /// One blocking reader thread + one writer thread per connection
-    /// (the fallback backend; two OS threads and ~10 idle wake-ups per
-    /// second per connection).
-    #[default]
-    Threads,
-    /// A few event-loop threads multiplexing every connection socket
-    /// via `poll(2)` readiness (see `crates/net/src/event.rs`): idle
-    /// connections cost zero wake-ups, and thousands of sockets share a
-    /// handful of threads.
-    Events,
-}
-
-impl IoBackend {
-    /// Parses the CLI spelling (`threads` | `events`).
-    pub fn parse(s: &str) -> Option<IoBackend> {
-        match s.trim() {
-            "threads" => Some(IoBackend::Threads),
-            "events" => Some(IoBackend::Events),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration of the network front-end.
 #[derive(Clone, Debug)]
@@ -131,9 +97,7 @@ pub struct ServerConfig {
     /// The allocation-service configuration backing the pool (workers,
     /// algorithm, warm start, response cache, default budget).
     pub service: ServiceConfig,
-    /// The connection I/O engine (default: [`IoBackend::Threads`]).
-    pub io: IoBackend,
-    /// Event-loop threads under [`IoBackend::Events`] (0 = default 2).
+    /// Event-loop threads serving the connections (0 = default 2).
     pub event_threads: usize,
     /// Highest wire protocol version offered in negotiation (clamped
     /// to `1..=`[`MAX_PROTOCOL_VERSION`]; default the maximum). Set to
@@ -145,7 +109,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             service: ServiceConfig::default(),
-            io: IoBackend::Threads,
             event_threads: 0,
             max_wire: MAX_PROTOCOL_VERSION,
         }
@@ -153,15 +116,14 @@ impl Default for ServerConfig {
 }
 
 /// The network layer's metric handles — cheap clones of registry-owned
-/// atomics (see [`vmplace_obs`]), shared by both I/O backends. Recording
+/// atomics (see [`vmplace_obs`]), shared by every event loop. Recording
 /// is strictly off the result path: every handle is a relaxed atomic and
 /// nothing here can change a response byte.
 #[derive(Clone)]
 pub(crate) struct NetMetrics {
-    /// `net.conns.threads` / `net.conns.events`: connections accepted
-    /// into each backend over the server's lifetime.
-    pub(crate) conns_threads: Counter,
-    pub(crate) conns_events: Counter,
+    /// `net.conns.accepted`: connections accepted over the server's
+    /// lifetime.
+    pub(crate) conns_accepted: Counter,
     /// `net.conns.open`: currently live connections.
     pub(crate) conns_open: Gauge,
     /// `net.wire.v1` / `net.wire.v2`: handshakes by negotiated version.
@@ -175,8 +137,8 @@ pub(crate) struct NetMetrics {
     pub(crate) stats_requests: Counter,
     /// `net.errors`: structured error frames emitted.
     pub(crate) errors: Counter,
-    /// `net.responses`: response frames fully written (threads) or fully
-    /// queued to the outbound ring (events).
+    /// `net.responses`: response frames fully queued to the connection's
+    /// outbound ring.
     pub(crate) responses: Counter,
     /// `net.responses_dropped`: completed responses that never reached
     /// the wire — the owning connection was torn down (write failure,
@@ -194,8 +156,7 @@ pub(crate) struct NetMetrics {
 impl NetMetrics {
     fn new(r: &Registry) -> NetMetrics {
         NetMetrics {
-            conns_threads: r.counter("net.conns.threads"),
-            conns_events: r.counter("net.conns.events"),
+            conns_accepted: r.counter("net.conns.accepted"),
             conns_open: r.gauge("net.conns.open"),
             wire_v1: r.counter("net.wire.v1"),
             wire_v2: r.counter("net.wire.v2"),
@@ -245,10 +206,6 @@ pub(crate) enum Meta {
     Bye,
 }
 
-/// One live threaded-backend connection's drain handle: a socket clone
-/// plus the reader and writer threads to join.
-type ConnHandle = (TcpStream, JoinHandle<()>, JoinHandle<()>);
-
 /// Completions keyed (and min-ordered) by submission sequence.
 pub(crate) struct Pending(pub(crate) u64, pub(crate) AllocResponse);
 
@@ -279,15 +236,9 @@ pub(crate) struct Shared {
     /// Signalled when a `shutdown` wire frame (or [`Server::shutdown`])
     /// requests the drain.
     shutdown_requested: (Mutex<bool>, Condvar),
-    /// Threaded-backend completion routing: connection index → writer's
-    /// completion sender. (The event backend routes completions through
-    /// its loop injectors instead.)
-    routes: Mutex<HashMap<u64, Sender<Pending>>>,
     /// The shared pool, in sink mode. Taken (and dropped, joining the
     /// workers) at the end of the drain.
     pub(crate) pool: Mutex<Option<SolverPool>>,
-    /// Live threaded-backend connection bookkeeping for the drain.
-    conns: Mutex<Vec<ConnHandle>>,
     next_conn: AtomicU64,
     /// Socket-level fault injection (`None` in production). The same
     /// plan travels into the pool workers via [`ServiceConfig::faults`]
@@ -295,13 +246,12 @@ pub(crate) struct Shared {
     pub(crate) faults: Option<FaultPlan>,
     /// Highest wire version this server negotiates.
     pub(crate) max_wire: u32,
-    /// I/O wake-ups: threaded reader timeout polls plus event-loop
-    /// `poll(2)` returns. The idle-connection suite asserts the event
-    /// backend's count stays ~zero while connections are quiet. A
-    /// registry counter (`net.io_wakeups`), so `stats` reports it.
+    /// I/O wake-ups: event-loop `poll(2)` returns. The idle-connection
+    /// suite asserts the count stays ~zero while connections are quiet.
+    /// A registry counter (`net.io_wakeups`), so `stats` reports it.
     pub(crate) wakeups: Counter,
-    /// The server's metrics registry: the pool workers, the connection
-    /// backends and the `stats` verb all read and write this one.
+    /// The server's metrics registry: the pool workers, the event loops
+    /// and the `stats` verb all read and write this one.
     pub(crate) registry: Arc<Registry>,
     pub(crate) metrics: NetMetrics,
     /// In-flight admissions: remapped request id → (trace id minted at
@@ -315,15 +265,6 @@ impl Shared {
         let (lock, cvar) = &self.shutdown_requested;
         *lock.lock().expect("shutdown flag") = true;
         cvar.notify_all();
-    }
-
-    /// Locks the completion-route table tolerating poison: the map is
-    /// only ever mutated by infallible insert/remove, so a panic caught
-    /// by the acceptor's guard (which may unwind through a held guard)
-    /// cannot leave it structurally broken — refusing to lock it again
-    /// would turn one connection's panic into a server-wide outage.
-    fn lock_routes(&self) -> MutexGuard<'_, HashMap<u64, Sender<Pending>>> {
-        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Retires one connection's stream namespace in the pool. FIFO per
@@ -386,7 +327,7 @@ pub fn render_stats(registry: &Registry) -> String {
     snap.to_json()
 }
 
-/// The internal spelling: both backends answer `stats` from the shared
+/// The internal spelling: the event loops answer `stats` from the shared
 /// state's registry.
 pub(crate) fn stats_json(shared: &Shared) -> String {
     render_stats(&shared.registry)
@@ -479,13 +420,13 @@ enum ProtoState {
 }
 
 /// The wire-version-agnostic protocol engine one connection runs
-/// (module docs sketch how both I/O backends drive it).
+/// (module docs sketch how the event loop drives it).
 ///
 /// `feed` never blocks and never performs socket I/O: it consumes
 /// whatever bytes the driver has, queues [`Meta`] events through the
 /// driver's sink, and submits complete requests to the pool. All
 /// protocol limits (line length, body lines, frame bytes, stream-id
-/// range) are enforced here, so the backends cannot drift apart.
+/// range) are enforced here, apart from any socket handling.
 pub(crate) struct ConnProto {
     conn_id: u64,
     state: ProtoState,
@@ -801,8 +742,8 @@ impl ConnProto {
 // ----------------------------------------------------------- the server
 
 /// A running allocation server. The module docs at the top of
-/// `server.rs` describe the two I/O backends; `crates/net/README.md`
-/// has the protocol (both wire versions).
+/// `server.rs` sketch the threads; `crates/net/README.md` has the
+/// protocol (both wire versions).
 ///
 /// Binding to port 0 picks an ephemeral port; [`Server::local_addr`]
 /// reports the actual address (tests and CI never collide on a fixed
@@ -815,7 +756,7 @@ impl ConnProto {
 /// Dropping the server calls it implicitly.
 pub struct Server {
     shared: Arc<Shared>,
-    core: Option<Arc<EventCore>>,
+    core: Arc<EventCore>,
     acceptor: Option<JoinHandle<()>>,
     /// Drain-once guard: `true` once a shutdown completed.
     done: Mutex<bool>,
@@ -838,9 +779,7 @@ impl Server {
             draining: AtomicBool::new(false),
             accept_stop: AtomicBool::new(false),
             shutdown_requested: (Mutex::new(false), Condvar::new()),
-            routes: Mutex::new(HashMap::new()),
             pool: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(0),
             faults: service.faults.clone().filter(|plan| !plan.is_empty()),
             max_wire: config.max_wire.clamp(1, MAX_PROTOCOL_VERSION),
@@ -850,22 +789,15 @@ impl Server {
             inflight: Mutex::new(HashMap::new()),
         });
 
-        let core = match config.io {
-            IoBackend::Threads => None,
-            IoBackend::Events => {
-                let threads = if config.event_threads == 0 {
-                    2
-                } else {
-                    config.event_threads.min(64)
-                };
-                Some(EventCore::start(shared.clone(), threads)?)
-            }
+        let threads = if config.event_threads == 0 {
+            2
+        } else {
+            config.event_threads.min(64)
         };
+        let core = EventCore::start(shared.clone(), threads)?;
 
-        // The pool delivers completions straight to the owning
-        // connection, routed by the connection bits of the id: to the
-        // writer thread's channel (threads) or the owning event loop's
-        // injector (events).
+        // The pool delivers completions straight to the owning event
+        // loop's injector, routed by the connection bits of the id.
         let sink_shared = shared.clone();
         let sink_core = core.clone();
         let pool = SolverPool::with_sink(
@@ -878,18 +810,7 @@ impl Server {
                 if let Some((_trace, admitted)) = sink_shared.unadmit(response.id) {
                     sink_shared.metrics.request_us.record(admitted.elapsed());
                 }
-                match &sink_core {
-                    Some(core) => core.complete(conn, Pending(seq, response)),
-                    None => {
-                        let routes = sink_shared.lock_routes();
-                        match routes.get(&conn) {
-                            // A closed writer (client vanished) discards —
-                            // a counted in-flight drop.
-                            Some(tx) if tx.send(Pending(seq, response)).is_ok() => {}
-                            _ => sink_shared.metrics.responses_dropped.inc(),
-                        }
-                    }
-                }
+                sink_core.complete(conn, Pending(seq, response));
             }),
         );
         *shared.pool.lock().expect("pool slot") = Some(pool);
@@ -916,18 +837,16 @@ impl Server {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// Cumulative I/O wake-ups: timeout polls of threaded readers plus
-    /// `poll(2)` returns of event loops. With N idle connections the
-    /// threaded backend accrues ~N wake-ups per read-timeout tick; the
-    /// event backend blocks until readiness and accrues ~zero (pinned
-    /// by `idle_connections_cost_no_wakeups_on_the_event_backend` in
+    /// Cumulative I/O wake-ups: `poll(2)` returns of the event loops.
+    /// A loop blocks until readiness, so idle connections accrue ~zero
+    /// (pinned by `idle_connections_cost_no_wakeups` in
     /// `tests/integration_net.rs`).
     pub fn io_wakeups(&self) -> u64 {
         self.shared.wakeups.get()
     }
 
     /// The server's metrics registry — the one the pool workers and the
-    /// connection backends record into and the `stats` wire verb
+    /// event loops record into and the `stats` wire verb
     /// snapshots. [`ServerConfig::service`] may supply a registry via
     /// [`ServiceConfig::metrics`]; otherwise [`Server::bind`] creates
     /// one, so this is never empty. `vmplace serve --metrics-interval`
@@ -964,9 +883,7 @@ impl Server {
     pub fn begin_shutdown(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.request_shutdown();
-        if let Some(core) = &self.core {
-            core.wake_all();
-        }
+        self.core.wake_all();
     }
 
     /// Graceful, idempotent shutdown: reject new connections with a
@@ -987,50 +904,27 @@ impl Server {
         let shared = &self.shared;
         shared.draining.store(true, Ordering::SeqCst);
         shared.request_shutdown();
-        if let Some(core) = &self.core {
-            // Wake the event loops so they notice the draining flag and
-            // start their per-connection grace windows.
-            core.wake_all();
-        }
+        // Wake the event loops so they notice the draining flag and start
+        // their per-connection grace windows: each connection still reads
+        // every frame already received, closes intake on its first quiet
+        // [`DRAIN_QUIET`] interval, answers every request read (the pool
+        // workers are still running) and says `bye`.
+        self.core.wake_all();
 
-        // Wind down live threaded connections: each reader first
-        // consumes every frame already received (reads keep returning
-        // data while the socket buffer is non-empty), then exits on its
-        // first quiet [`READ_POLL`] interval; its writer then drains
-        // every completion of the requests read (the pool workers are
-        // still running) and says `bye`. New connections keep being
-        // answered with the `draining` greeting throughout. (Event-loop
-        // connections run the same protocol inside their loops.)
-        let conns = std::mem::take(&mut *shared.conns.lock().expect("conns"));
-        for (_stream, reader, writer) in conns {
-            let _ = reader.join();
-            let _ = writer.join();
-        }
-
-        // Now retire the acceptor: flag it down and wake it out of
-        // accept() with a throwaway connection.
+        // Retire the acceptor: flag it down and wake it out of accept()
+        // with a throwaway connection. Until it exits, new connections
+        // are answered with the `draining` greeting.
         shared.accept_stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(shared.addr);
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
 
-        // A connection accepted just before the draining flag landed may
-        // have been registered after the sweep above; with the acceptor
-        // gone the registry is final, so one more sweep closes the race.
-        let conns = std::mem::take(&mut *shared.conns.lock().expect("conns"));
-        for (_stream, reader, writer) in conns {
-            let _ = reader.join();
-            let _ = writer.join();
-        }
-
         // Event loops exit once `accept_stop` is up and their last
         // connection has been answered and closed; the pool workers are
         // still alive underneath them until that point.
-        if let Some(core) = &self.core {
-            core.wake_all();
-            core.join();
-        }
+        self.core.wake_all();
+        self.core.join();
 
         // Finally the pool itself: dropping it drains worker queues
         // (already empty — every completion was awaited) and joins the
@@ -1089,7 +983,7 @@ impl FdReserve {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, core: Option<Arc<EventCore>>) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, core: Arc<EventCore>) {
     let mut reserve = FdReserve::new();
     let mut accepted: u64 = 0;
     loop {
@@ -1152,23 +1046,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, core: Option<Arc<Even
             continue;
         }
         // Panic guard: connection setup touches fallible per-connection
-        // plumbing; a panic there must cost only this connection, never
-        // new-connection intake (regression test in
+        // plumbing; a setup failure or a panic there drops only this
+        // connection, never new-connection intake (regression test in
         // `tests/integration_chaos.rs` via `FaultPlan::panic_accept`).
-        match catch_unwind(AssertUnwindSafe(|| {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
             connection_intake(&shared, &core, stream, conn_id)
-        })) {
-            Ok(Ok(Some(entry))) => shared.conns.lock().expect("conns").push(entry),
-            Ok(Ok(None)) => {}      // event backend: the loop owns it now
-            Ok(Err(_)) => continue, // socket setup failure: drop the connection
-            Err(_) => {
-                // The panicked setup may have registered its completion
-                // route already; unregister (tolerant of the poison the
-                // panic may have left behind).
-                shared.lock_routes().remove(&conn_id);
-                continue;
-            }
-        }
+        }));
     }
 }
 
@@ -1187,328 +1070,20 @@ fn reject(mut stream: TcpStream, line: &str) {
     while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
-/// Hands one accepted connection to the configured I/O backend.
+/// Hands one accepted connection to its event loop.
 fn connection_intake(
-    shared: &Arc<Shared>,
-    core: &Option<Arc<EventCore>>,
+    shared: &Shared,
+    core: &EventCore,
     stream: TcpStream,
     conn_id: u64,
-) -> std::io::Result<Option<ConnHandle>> {
+) -> std::io::Result<()> {
     if let Some(plan) = &shared.faults {
         if plan.panic_accept == Some(conn_id) {
             panic!("{INJECTED_FAULT_MARKER} (accept, connection {conn_id})");
         }
     }
-    match core {
-        Some(core) => {
-            core.add_conn(stream, conn_id)?;
-            shared.metrics.conns_events.inc();
-            shared.metrics.conns_open.add(1);
-            Ok(None)
-        }
-        None => {
-            let handle = spawn_connection(shared, stream, conn_id)?;
-            shared.metrics.conns_threads.inc();
-            shared.metrics.conns_open.add(1);
-            Ok(Some(handle))
-        }
-    }
-}
-
-/// Threaded backend: registers the completion route, spawns the reader
-/// (which performs the handshake) and the writer.
-fn spawn_connection(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    conn_id: u64,
-) -> std::io::Result<ConnHandle> {
-    let registry_stream = stream.try_clone()?;
-    let write_stream = stream.try_clone()?;
-
-    let (meta_tx, meta_rx) = channel::<Meta>();
-    let (comp_tx, comp_rx) = channel::<Pending>();
-    shared.lock_routes().insert(conn_id, comp_tx);
-
-    let reader_shared = shared.clone();
-    let reader = std::thread::spawn(move || {
-        read_loop(reader_shared, stream, conn_id, meta_tx);
-    });
-    let writer_shared = shared.clone();
-    let loop_shared = shared.clone();
-    let writer = std::thread::spawn(move || {
-        write_loop(loop_shared, write_stream, meta_rx, comp_rx, conn_id);
-        // Past this point no completion for this connection can be in
-        // flight (every submitted request was awaited before `bye`).
-        writer_shared.lock_routes().remove(&conn_id);
-        // Retire the connection's stream namespace so long-lived worker
-        // memory (instances, warm yields, caches) tracks live clients.
-        writer_shared.retire_conn(conn_id);
-    });
-    Ok((registry_stream, reader, writer))
-}
-
-/// Threaded backend reader: blocking chunk reads (with the [`READ_POLL`]
-/// timeout as the drain's quiet detector) fed through the shared
-/// [`ConnProto`] engine; metas stream to the writer thread.
-fn read_loop(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64, meta: Sender<Meta>) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut proto = ConnProto::new(conn_id);
-    let mut buf = vec![0u8; 16 * 1024];
-    let mut sink = |m: Meta| {
-        let _ = meta.send(m);
-    };
-    // When a drain begins, frames already in the socket buffer are still
-    // consumed; the grace deadline stops a client that keeps streaming
-    // from holding the drain open forever.
-    let mut drain_seen: Option<std::time::Instant> = None;
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            let seen = *drain_seen.get_or_insert_with(std::time::Instant::now);
-            if seen.elapsed() > DRAIN_GRACE {
-                return proto.fail(codes::DRAINING, "server is draining".into(), &mut sink);
-            }
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return proto.on_eof(&mut sink),
-            Ok(n) => {
-                if proto.feed(&shared, &buf[..n], &mut sink) == Flow::Closed {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                shared.wakeups.inc();
-                if shared.draining.load(Ordering::SeqCst) {
-                    // First quiet interval during a drain: done reading.
-                    return proto.on_eof(&mut sink);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return proto.on_eof(&mut sink),
-        }
-    }
-}
-
-/// The writer's socket half: owns the buffered stream, the liveness
-/// flag, and the per-connection fault injection (response-frame counting
-/// for drop points, short/delayed writes).
-///
-/// The invariant it enforces — for genuine write failures (including the
-/// [`WRITE_TIMEOUT`] expiring mid-frame) exactly as for injected drops —
-/// is that a failed or cut-off write **tears the connection down**
-/// ([`Shutdown::Both`]): the peer can never observe a half-written frame
-/// followed by a fresh frame on the same socket, and the connection's
-/// reader sees EOF, exits, and triggers stream retirement through the
-/// normal `bye` path.
-struct FrameWriter {
-    out: std::io::BufWriter<TcpStream>,
-    alive: bool,
-    conn_id: u64,
-    faults: Option<FaultPlan>,
-    /// Response frames fully written (the drop-point counter).
-    frames: u64,
-    metrics: NetMetrics,
-}
-
-impl FrameWriter {
-    fn new(
-        stream: TcpStream,
-        conn_id: u64,
-        faults: Option<FaultPlan>,
-        metrics: NetMetrics,
-    ) -> FrameWriter {
-        FrameWriter {
-            out: std::io::BufWriter::new(stream),
-            alive: true,
-            conn_id,
-            faults,
-            frames: 0,
-            metrics,
-        }
-    }
-
-    /// Tears the connection down after a failed (or injected-faulty)
-    /// write. The writer stays in its loop consuming metas and
-    /// completions — the reader and the completion sink must never block
-    /// on a dead peer — but nothing further is written.
-    fn teardown(&mut self) {
-        self.alive = false;
-        let _ = self.out.get_ref().shutdown(Shutdown::Both);
-    }
-
-    /// Writes raw bytes, honoring injected short writes and delays; any
-    /// genuine error (the peer vanished, the write timeout fired) tears
-    /// the connection down.
-    fn emit(&mut self, bytes: &[u8]) {
-        if !self.alive {
-            return;
-        }
-        let chunked = self.faults.as_ref().and_then(|f| f.short_write);
-        let result = match chunked {
-            Some(chunk) => {
-                let delay = self.faults.as_ref().and_then(|f| f.write_delay);
-                let mut result = Ok(());
-                for piece in bytes.chunks(chunk.max(1)) {
-                    result = self.out.write_all(piece).and_then(|_| self.out.flush());
-                    if result.is_err() {
-                        break;
-                    }
-                    if let Some(delay) = delay {
-                        std::thread::sleep(delay);
-                    }
-                }
-                result
-            }
-            None => self.out.write_all(bytes),
-        };
-        if result.is_err() {
-            self.teardown();
-        }
-    }
-
-    /// Writes one response frame, counting it against the plan's drop
-    /// point: at the drop point the connection is cut instead — on the
-    /// frame boundary, or (`midframe`) after leaking roughly half the
-    /// frame's bytes, which is exactly the torn write a real mid-frame
-    /// failure leaves behind.
-    fn emit_response_frame(&mut self, frame: &[u8]) {
-        if !self.alive {
-            // The connection is already gone: this completed response
-            // never reaches the wire.
-            self.metrics.responses_dropped.inc();
-            return;
-        }
-        let cut = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.drop_point(self.conn_id))
-            .is_some_and(|point| self.frames >= point);
-        if cut {
-            if self.faults.as_ref().is_some_and(|f| f.midframe) {
-                let half = frame.len() / 2;
-                let _ = self.out.write_all(&frame[..half]);
-                let _ = self.out.flush();
-            }
-            self.teardown();
-            self.metrics.responses_dropped.inc();
-            return;
-        }
-        self.emit(frame);
-        if self.alive {
-            self.frames += 1;
-            self.metrics.responses.inc();
-        } else {
-            // The write failed (or timed out) mid-frame: torn, not sent.
-            self.metrics.responses_dropped.inc();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.alive && self.out.flush().is_err() {
-            self.teardown();
-        }
-    }
-}
-
-/// Threaded backend writer: emits frames in submission order, restoring
-/// client ids/streams on responses, encoding for the wire version the
-/// greeting negotiated. Exits on `Bye` (or a dead socket).
-fn write_loop(
-    shared: Arc<Shared>,
-    stream: TcpStream,
-    meta: Receiver<Meta>,
-    completions: Receiver<Pending>,
-    conn_id: u64,
-) {
-    // A non-reading client must not park this thread in write_all
-    // forever — the drain joins every writer. On expiry the connection
-    // is torn down (see [`FrameWriter`]), never silently resumed.
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut writer = FrameWriter::new(
-        stream,
-        conn_id,
-        shared.faults.clone(),
-        shared.metrics.clone(),
-    );
-    let mut heap: BinaryHeap<Pending> = BinaryHeap::new();
-    // Until the greeting lands the connection speaks v1 text (the
-    // handshake and its error answers are text in every version).
-    let mut wire: u32 = PROTOCOL_VERSION;
-
-    // Blocking recv, but flush whenever the queue momentarily empties so
-    // pipelined bursts coalesce and lone frames still go out promptly.
-    let mut next: Option<Meta> = None;
-    loop {
-        let item = match next.take() {
-            Some(m) => m,
-            None => match meta.try_recv() {
-                Ok(m) => m,
-                Err(_) => {
-                    writer.flush();
-                    match meta.recv() {
-                        Ok(m) => m,
-                        Err(_) => break, // reader gone without Bye (panic)
-                    }
-                }
-            },
-        };
-        match item {
-            Meta::Greeting(v) => {
-                wire = v;
-                writer.emit(&greeting_frame(v));
-            }
-            Meta::Pong(token, received) => {
-                writer.emit(&pong_frame(wire, &token));
-                shared.metrics.ping_us.record(received.elapsed());
-            }
-            Meta::Stats => {
-                let json = stats_json(&shared);
-                writer.emit(&stats_frame(wire, &json));
-            }
-            Meta::Error { code, message } => {
-                shared.metrics.errors.inc();
-                writer.emit(&error_frame(wire, code, &message));
-            }
-            Meta::Bye => {
-                writer.emit(&bye_frame(wire));
-                writer.flush();
-                // Close the TCP connection for real: the drain registry
-                // holds another clone of this socket, so dropping our fd
-                // alone would leave the client's read blocked.
-                let _ = writer.out.get_ref().shutdown(Shutdown::Both);
-                break;
-            }
-            Meta::Request {
-                seq,
-                client_id,
-                client_stream,
-            } => {
-                // Pull completions until this slot's arrives.
-                let mut response = loop {
-                    if let Some(Pending(s, _)) = heap.peek() {
-                        if *s == seq {
-                            break heap.pop().expect("peeked").1;
-                        }
-                    }
-                    match completions.recv() {
-                        Ok(p) => heap.push(p),
-                        Err(_) => return, // pool gone mid-request: abort
-                    }
-                };
-                response.id = client_id;
-                response.stream = client_stream;
-                let t_encode = Instant::now();
-                let frame = response_frame(wire, &response);
-                shared.metrics.encode_us.record(t_encode.elapsed());
-                writer.emit_response_frame(&frame);
-            }
-        }
-        if next.is_none() {
-            if let Ok(m) = meta.try_recv() {
-                next = Some(m);
-            }
-        }
-    }
+    core.add_conn(stream, conn_id)?;
+    shared.metrics.conns_accepted.inc();
+    shared.metrics.conns_open.add(1);
+    Ok(())
 }

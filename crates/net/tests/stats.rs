@@ -1,12 +1,12 @@
 //! The observability surface, end to end: the `stats` wire verb on both
-//! I/O backends and both wire versions, the invariance of response bytes
-//! under instrumentation, and the writer-teardown drop accounting.
+//! wire versions, the invariance of response bytes under
+//! instrumentation, and the writer-teardown drop accounting.
 
 use std::time::{Duration, Instant};
 use vmplace_model::{
     AllocRequest, Node, ProblemInstance, RequestKind, RequestOutcome, ResponsePolicy, Service,
 };
-use vmplace_net::{Client, IoBackend, Server, ServerConfig};
+use vmplace_net::{Client, Server, ServerConfig};
 use vmplace_obs::{json::Json, Registry};
 use vmplace_service::{FaultPlan, ServiceConfig, SolverPool};
 
@@ -44,13 +44,12 @@ fn trace() -> Vec<AllocRequest> {
     out
 }
 
-fn config(io: IoBackend) -> ServerConfig {
+fn config() -> ServerConfig {
     ServerConfig {
         service: ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
-        io,
         ..ServerConfig::default()
     }
 }
@@ -62,99 +61,84 @@ fn counter(stats: &Json, name: &str) -> Option<u64> {
 /// The acceptance snapshot: every cell the issue names must be present
 /// and the traffic-dependent ones non-zero after a replay.
 #[test]
-fn stats_verb_round_trips_on_both_backends_and_wire_versions() {
-    for io in [IoBackend::Threads, IoBackend::Events] {
-        for wire in [1u32, 2] {
-            let what = format!("io {io:?} wire {wire}");
-            let mut server = Server::bind("127.0.0.1:0", &config(io)).expect("bind");
-            let mut client = Client::connect_with(server.local_addr(), wire).expect("connect");
-            assert_eq!(client.wire_version(), wire, "{what}");
+fn stats_verb_round_trips_on_both_wire_versions() {
+    for wire in [1u32, 2] {
+        let what = format!("wire {wire}");
+        let mut server = Server::bind("127.0.0.1:0", &config()).expect("bind");
+        let mut client = Client::connect_with(server.local_addr(), wire).expect("connect");
+        assert_eq!(client.wire_version(), wire, "{what}");
 
-            let responses = client.replay(&trace()).expect("replay");
-            assert_eq!(responses.len(), 4, "{what}");
-            client.ping("probe").expect("pong");
+        let responses = client.replay(&trace()).expect("replay");
+        assert_eq!(responses.len(), 4, "{what}");
+        client.ping("probe").expect("pong");
 
-            let json = client.stats().expect("stats");
-            let stats = Json::parse(&json).unwrap_or_else(|e| panic!("{what}: bad JSON {e}"));
+        let json = client.stats().expect("stats");
+        let stats = Json::parse(&json).unwrap_or_else(|e| panic!("{what}: bad JSON {e}"));
 
-            // Request counters reflect the replay on both layers.
-            assert_eq!(counter(&stats, "net.requests"), Some(4), "{what}: {json}");
-            assert_eq!(counter(&stats, "service.requests"), Some(4), "{what}");
-            assert_eq!(counter(&stats, "net.responses"), Some(4), "{what}");
-            assert_eq!(counter(&stats, "net.pings"), Some(1), "{what}");
-            assert!(counter(&stats, "net.stats_requests") >= Some(1), "{what}");
-            assert_eq!(
-                counter(
-                    &stats,
-                    &format!(
-                        "net.conns.{}",
-                        match io {
-                            IoBackend::Threads => "threads",
-                            IoBackend::Events => "events",
-                        }
-                    )
-                ),
-                Some(1),
-                "{what}"
-            );
+        // Request counters reflect the replay on both layers.
+        assert_eq!(counter(&stats, "net.requests"), Some(4), "{what}: {json}");
+        assert_eq!(counter(&stats, "service.requests"), Some(4), "{what}");
+        assert_eq!(counter(&stats, "net.responses"), Some(4), "{what}");
+        assert_eq!(counter(&stats, "net.pings"), Some(1), "{what}");
+        assert!(counter(&stats, "net.stats_requests") >= Some(1), "{what}");
+        assert_eq!(counter(&stats, "net.conns.accepted"), Some(1), "{what}");
 
-            // Health counters exist (zero on a healthy run).
-            assert_eq!(counter(&stats, "service.shed"), Some(0), "{what}");
-            assert_eq!(counter(&stats, "service.worker_panics"), Some(0), "{what}");
-            assert_eq!(counter(&stats, "net.responses_dropped"), Some(0), "{what}");
+        // Health counters exist (zero on a healthy run).
+        assert_eq!(counter(&stats, "service.shed"), Some(0), "{what}");
+        assert_eq!(counter(&stats, "service.worker_panics"), Some(0), "{what}");
+        assert_eq!(counter(&stats, "net.responses_dropped"), Some(0), "{what}");
 
-            // Queue-depth gauges: aggregate plus one per worker.
-            let gauges = stats.get("gauges").expect("gauges object");
-            assert!(gauges.get("service.queue_depth").is_some(), "{what}");
-            assert!(
-                gauges.get("service.worker0.queue_depth").is_some(),
-                "{what}"
-            );
-            assert_eq!(
-                gauges.get("service.workers").and_then(Json::as_u64),
-                Some(2),
-                "{what}"
-            );
+        // Queue-depth gauges: aggregate plus one per worker.
+        let gauges = stats.get("gauges").expect("gauges object");
+        assert!(gauges.get("service.queue_depth").is_some(), "{what}");
+        assert!(
+            gauges.get("service.worker0.queue_depth").is_some(),
+            "{what}"
+        );
+        assert_eq!(
+            gauges.get("service.workers").and_then(Json::as_u64),
+            Some(2),
+            "{what}"
+        );
 
-            // The cache served the identical re-solves; the derived ratio
-            // reflects it.
-            let ratio = stats
-                .get("derived")
-                .and_then(|d| d.get("service.cache.hit_ratio"))
-                .and_then(Json::as_f64)
-                .unwrap_or_else(|| panic!("{what}: no hit ratio in {json}"));
-            assert!((0.0..=1.0).contains(&ratio), "{what}: ratio {ratio}");
-            assert!(ratio > 0.0, "{what}: re-solve burst produced no cache hits");
+        // The cache served the identical re-solves; the derived ratio
+        // reflects it.
+        let ratio = stats
+            .get("derived")
+            .and_then(|d| d.get("service.cache.hit_ratio"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{what}: no hit ratio in {json}"));
+        assert!((0.0..=1.0).contains(&ratio), "{what}: ratio {ratio}");
+        assert!(ratio > 0.0, "{what}: re-solve burst produced no cache hits");
 
-            // Latency histograms carry quantiles for the solved requests.
-            let solve = stats
+        // Latency histograms carry quantiles for the solved requests.
+        let solve = stats
+            .get("histograms")
+            .and_then(|h| h.get("service.solve_us"))
+            .unwrap_or_else(|| panic!("{what}: no solve histogram in {json}"));
+        assert!(
+            solve.get("count").and_then(Json::as_u64) >= Some(1),
+            "{what}"
+        );
+        assert!(
+            solve.get("p50_us").and_then(Json::as_f64).is_some(),
+            "{what}"
+        );
+        assert!(
+            solve.get("p99_us").and_then(Json::as_f64).is_some(),
+            "{what}"
+        );
+        assert!(
+            stats
                 .get("histograms")
-                .and_then(|h| h.get("service.solve_us"))
-                .unwrap_or_else(|| panic!("{what}: no solve histogram in {json}"));
-            assert!(
-                solve.get("count").and_then(Json::as_u64) >= Some(1),
-                "{what}"
-            );
-            assert!(
-                solve.get("p50_us").and_then(Json::as_f64).is_some(),
-                "{what}"
-            );
-            assert!(
-                solve.get("p99_us").and_then(Json::as_f64).is_some(),
-                "{what}"
-            );
-            assert!(
-                stats
-                    .get("histograms")
-                    .and_then(|h| h.get("net.ping_us"))
-                    .and_then(|h| h.get("count"))
-                    .and_then(Json::as_u64)
-                    >= Some(1),
-                "{what}"
-            );
+                .and_then(|h| h.get("net.ping_us"))
+                .and_then(|h| h.get("count"))
+                .and_then(Json::as_u64)
+                >= Some(1),
+            "{what}"
+        );
 
-            server.shutdown();
-        }
+        server.shutdown();
     }
 }
 
@@ -211,62 +195,59 @@ fn instrumentation_never_changes_a_response_byte() {
 
 /// The writer-teardown contract, now accounted: responses completed after
 /// the injected connection cut land in `net.responses_dropped` instead of
-/// vanishing silently — on both I/O backends.
+/// vanishing silently.
 #[test]
 fn writer_teardown_counts_dropped_in_flight_responses() {
-    for io in [IoBackend::Threads, IoBackend::Events] {
-        let what = format!("io {io:?}");
-        let mut config = config(io);
-        // Cut the connection after the first response frame; the replay
-        // keeps three more completions in flight behind it.
-        config.service.faults = FaultPlan::parse("drop=1");
-        assert!(config.service.faults.is_some(), "fault spec parsed");
+    let mut config = config();
+    // Cut the connection after the first response frame; the replay
+    // keeps three more completions in flight behind it.
+    config.service.faults = FaultPlan::parse("drop=1");
+    assert!(config.service.faults.is_some(), "fault spec parsed");
 
-        let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
-        let mut client = Client::connect(server.local_addr()).expect("connect");
-        for request in trace() {
-            client.submit(&request).expect("submit");
-        }
-        let mut delivered = 0usize;
-        let mut failed = false;
-        for response in client.responses() {
-            match response {
-                Ok(r) => {
-                    assert_eq!(r.outcome, RequestOutcome::Solved, "{what}");
-                    delivered += 1;
-                }
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        assert!(failed, "{what}: injected drop never surfaced");
-        assert!(delivered < 4, "{what}: all responses arrived despite drop");
-
-        // The remaining completions drain asynchronously; poll the live
-        // registry until every completion is accounted — written or
-        // dropped, nothing vanishes. (The teardown's RST can discard
-        // frames the server already wrote, so `delivered` here is a
-        // lower bound on the server-side `net.responses` count.)
-        let registry = server.metrics();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let (written, dropped) = loop {
-            let snapshot = registry.snapshot();
-            let get = |name: &str| *snapshot.counters.get(name).unwrap_or(&0);
-            let (written, dropped) = (get("net.responses"), get("net.responses_dropped"));
-            if written + dropped >= 4 || Instant::now() > deadline {
-                break (written, dropped);
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        assert_eq!(
-            written + dropped,
-            4,
-            "{what}: {written} written + {dropped} dropped ≠ 4 submitted"
-        );
-        assert!(dropped >= 3, "{what}: cut after 1 frame dropped {dropped}");
-        assert!(delivered as u64 <= written, "{what}");
-        server.shutdown();
+    let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for request in trace() {
+        client.submit(&request).expect("submit");
     }
+    let mut delivered = 0usize;
+    let mut failed = false;
+    for response in client.responses() {
+        match response {
+            Ok(r) => {
+                assert_eq!(r.outcome, RequestOutcome::Solved);
+                delivered += 1;
+            }
+            Err(_) => {
+                failed = true;
+                break;
+            }
+        }
+    }
+    assert!(failed, "injected drop never surfaced");
+    assert!(delivered < 4, "all responses arrived despite drop");
+
+    // The remaining completions drain asynchronously; poll the live
+    // registry until every completion is accounted — written or
+    // dropped, nothing vanishes. (The teardown's RST can discard
+    // frames the server already wrote, so `delivered` here is a
+    // lower bound on the server-side `net.responses` count.)
+    let registry = server.metrics();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (written, dropped) = loop {
+        let snapshot = registry.snapshot();
+        let get = |name: &str| *snapshot.counters.get(name).unwrap_or(&0);
+        let (written, dropped) = (get("net.responses"), get("net.responses_dropped"));
+        if written + dropped >= 4 || Instant::now() > deadline {
+            break (written, dropped);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(
+        written + dropped,
+        4,
+        "{written} written + {dropped} dropped ≠ 4 submitted"
+    );
+    assert!(dropped >= 3, "cut after 1 frame dropped {dropped}");
+    assert!(delivered as u64 <= written);
+    server.shutdown();
 }

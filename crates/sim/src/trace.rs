@@ -17,7 +17,7 @@ use vmplace_model::{AllocRequest, RequestKind, ResponsePolicy, Service, Workload
 
 /// Adversarial traffic shapes layered over the base generator — the
 /// load patterns the fault-tolerance layer must degrade gracefully
-/// under (chaos suite + the overload grid in `BENCH_net.json`).
+/// under (the chaos suite in `tests/integration_chaos.rs`).
 ///
 /// [`Adversarial::None`] leaves the generator byte-identical to the
 /// shape-free versions of a config: the adversarial branches draw from

@@ -11,8 +11,7 @@
 //! vmplace serve  [--port P | --addr A] [--algo …] [--workers N] [--no-warm]
 //!                [--no-order] [--no-cache] [--budget-ms MS]
 //!                [--queue-depth N] [--faults SPEC] [--wire v1|v2]
-//!                [--io threads|events] [--event-threads N]
-//!                [--metrics-interval SECS]
+//!                [--event-threads N] [--metrics-interval SECS]
 //! vmplace client <addr> [<trace.txt>|--gen] [--quiet] [--shutdown] [--ping]
 //!                [--stats] [--retries N] [--wire v1|v2] […--gen opts]
 //! vmplace top    <addr> [--wire v1|v2]
@@ -78,7 +77,7 @@ fn usage() -> ! {
          vmplace serve [--port P | --addr A] [--algo A] [--workers N] [--no-warm]\n  \
          \x20              [--no-order] [--no-cache] [--budget-ms MS]\n  \
          \x20              [--queue-depth N] [--faults SPEC] [--wire v1|v2]\n  \
-         \x20              [--io threads|events] [--event-threads N] [--metrics-interval SECS]\n  \
+         \x20              [--event-threads N] [--metrics-interval SECS]\n  \
          vmplace client <addr> [<trace.txt>|--gen] [--quiet] [--shutdown] [--ping] [--stats]\n  \
          \x20              [--retries N] [--wire v1|v2] (--gen and --policy opts as for replay)\n  \
          vmplace top <addr> [--wire v1|v2]\n  \
@@ -517,16 +516,6 @@ fn cmd_serve(args: &[String]) {
         (None, Some(port)) => format!("127.0.0.1:{port}"),
         (None, None) => "127.0.0.1:0".to_string(),
     };
-    let io = match flag_value(args, "--io") {
-        None => vmplace::net::IoBackend::default(),
-        Some(spec) => match vmplace::net::IoBackend::parse(&spec) {
-            Some(io) => io,
-            None => {
-                eprintln!("error: bad --io `{spec}` (use threads|events)");
-                std::process::exit(2);
-            }
-        },
-    };
     let max_wire = match flag_value(args, "--wire").as_deref() {
         None | Some("v2") => vmplace::net::wire::MAX_PROTOCOL_VERSION,
         Some("v1") => 1,
@@ -537,7 +526,6 @@ fn cmd_serve(args: &[String]) {
     };
     let config = vmplace::net::ServerConfig {
         service,
-        io,
         event_threads: flag_value(args, "--event-threads")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0),
@@ -556,12 +544,11 @@ fn cmd_serve(args: &[String]) {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "# serving algo {} on {} workers (warm {}, cache {}, io {:?}, wire ≤ v{}) — stop with `vmplace client <addr> --shutdown`",
+        "# serving algo {} on {} workers (warm {}, cache {}, wire ≤ v{}) — stop with `vmplace client <addr> --shutdown`",
         config.service.algo.label(),
         config.service.workers.max(1),
         config.service.warm_start,
         config.service.response_cache,
-        config.io,
         config.max_wire,
     );
     if let Some(spec) = flag_value(args, "--metrics-interval") {
@@ -651,7 +638,7 @@ fn print_top(addr: &str, stats: &vmplace::obs::json::Json) {
 
     println!("# vmplace top — {addr}");
     println!(
-        "requests     {} net / {} service — {} responses written, {} dropped, {} errors",
+        "requests     {} net / {} service — {} responses queued, {} dropped, {} errors",
         counter("net.requests"),
         counter("service.requests"),
         counter("net.responses"),
@@ -659,10 +646,9 @@ fn print_top(addr: &str, stats: &vmplace::obs::json::Json) {
         counter("net.errors"),
     );
     println!(
-        "connections  {} open ({} threads, {} events accepted; wire v1 {}, v2 {})",
+        "connections  {} open ({} accepted; wire v1 {}, v2 {})",
         gauge("net.conns.open"),
-        counter("net.conns.threads"),
-        counter("net.conns.events"),
+        counter("net.conns.accepted"),
         counter("net.wire.v1"),
         counter("net.wire.v2"),
     );

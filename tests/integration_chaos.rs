@@ -14,8 +14,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 use vmplace::net::wire::PROTOCOL_V2;
 use vmplace::net::{
-    replay_resilient, replay_resilient_with, Client, IoBackend, NetError, RetryPolicy, Server,
-    ServerConfig,
+    replay_resilient, replay_resilient_with, Client, NetError, RetryPolicy, Server, ServerConfig,
 };
 use vmplace::prelude::*;
 use vmplace::service::INJECTED_FAULT_MARKER;
@@ -52,23 +51,9 @@ fn server_config(workers: usize) -> ServerConfig {
     }
 }
 
-fn server_config_on(workers: usize, io: IoBackend) -> ServerConfig {
-    ServerConfig {
-        io,
-        ..server_config(workers)
-    }
-}
-
-/// The wire version each backend is paired with in the chaos matrix:
-/// the threaded baseline re-proves the PR 7 text-protocol contracts,
-/// the event backend runs the new binary framing — together they cover
-/// all four fault surfaces without doubling the grid again.
-fn chaos_wire(io: IoBackend) -> u32 {
-    match io {
-        IoBackend::Threads => 1,
-        IoBackend::Events => PROTOCOL_V2,
-    }
-}
+/// The wire versions of the chaos matrix: the text protocol and the
+/// binary framing each run every fault surface.
+const CHAOS_WIRES: [u32; 2] = [1, PROTOCOL_V2];
 
 /// Multi-stream trace with re-solve bursts (same shape as the net suite).
 fn test_trace(requests: usize, seed: u64) -> Vec<AllocRequest> {
@@ -217,11 +202,10 @@ fn chaos_loopback_resilient_replay_equals_fault_free_run() {
         "shortwrite=7",
         "shortwrite=64,delay-ms=1",
     ];
-    for io in [IoBackend::Threads, IoBackend::Events] {
-        let wire = chaos_wire(io);
+    for wire in CHAOS_WIRES {
         for spec in plans {
-            let what = format!("plan `{spec}` on {io:?} v{wire}");
-            let mut config = server_config_on(2, io);
+            let what = format!("plan `{spec}` on v{wire}");
+            let mut config = server_config(2);
             config.service.faults = FaultPlan::parse(spec);
             assert!(config.service.faults.is_some(), "{what}: plan must parse");
             let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
@@ -296,9 +280,8 @@ fn acceptor_survives_connection_handler_panics() {
 
 #[test]
 fn overloaded_server_answers_every_request_and_resilient_replay_completes() {
-    for io in [IoBackend::Threads, IoBackend::Events] {
-        let wire = chaos_wire(io);
-        let mut config = server_config_on(2, io);
+    for wire in CHAOS_WIRES {
+        let mut config = server_config(2);
         config.service.overload = Some(OverloadControl {
             queue_depth: 6,
             shed_expired: true,
@@ -321,7 +304,7 @@ fn overloaded_server_answers_every_request_and_resilient_replay_completes() {
             if r.outcome == RequestOutcome::Overloaded {
                 assert!(
                     r.retry_after.is_some_and(|d| d > Duration::ZERO),
-                    "{io:?}: overloaded answers carry a retry hint (id {})",
+                    "v{wire}: overloaded answers carry a retry hint (id {})",
                     r.id
                 );
             }
@@ -337,7 +320,7 @@ fn overloaded_server_answers_every_request_and_resilient_replay_completes() {
             seed: 2,
         };
         let got = replay_resilient_with(addr, &trace, &policy, wire)
-            .unwrap_or_else(|e| panic!("{io:?}: resilient replay failed: {e}"));
+            .unwrap_or_else(|e| panic!("v{wire}: resilient replay failed: {e}"));
         assert_eq!(got.len(), trace.len());
         assert!(got.iter().all(|r| !r.outcome.is_retryable()));
         server.shutdown();
@@ -350,39 +333,37 @@ fn fd_exhaustion_backs_off_and_keeps_the_acceptor_alive() {
     // connections as if accept(2) had failed with EMFILE: the reserve
     // descriptor is burned to answer `overloaded` + retry-after instead
     // of tearing the acceptor down.
-    for io in [IoBackend::Threads, IoBackend::Events] {
-        let mut config = server_config_on(1, io);
-        config.service.faults = FaultPlan::parse("fd-exhaust=2");
-        let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
-        let addr = server.local_addr();
+    let mut config = server_config(1);
+    config.service.faults = FaultPlan::parse("fd-exhaust=2");
+    let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
+    let addr = server.local_addr();
 
-        for attempt in 0..2 {
-            match Client::connect(addr) {
-                Err(NetError::Remote { code, message }) => {
-                    assert_eq!(code, "overloaded", "{io:?} attempt {attempt}");
-                    assert!(
-                        message.contains("retry-after-ms="),
-                        "{io:?} attempt {attempt}: refusal must carry a retry hint, got `{message}`"
-                    );
-                }
-                Err(other) => {
-                    panic!("{io:?} attempt {attempt}: expected overloaded refusal, got {other:?}")
-                }
-                Ok(_) => panic!("{io:?} attempt {attempt}: connection must be refused"),
+    for attempt in 0..2 {
+        match Client::connect(addr) {
+            Err(NetError::Remote { code, message }) => {
+                assert_eq!(code, "overloaded", "attempt {attempt}");
+                assert!(
+                    message.contains("retry-after-ms="),
+                    "attempt {attempt}: refusal must carry a retry hint, got `{message}`"
+                );
             }
+            Err(other) => {
+                panic!("attempt {attempt}: expected overloaded refusal, got {other:?}")
+            }
+            Ok(_) => panic!("attempt {attempt}: connection must be refused"),
         }
-        // The acceptor survived both synthetic exhaustions and serves the
-        // third connection fully.
-        let mut client = Client::connect(addr).expect("acceptor kept accepting");
-        let responses = client.replay(&test_trace(6, 31)).expect("replay");
-        assert_eq!(responses.len(), 6);
-        drop(client);
-        server.shutdown();
     }
+    // The acceptor survived both synthetic exhaustions and serves the
+    // third connection fully.
+    let mut client = Client::connect(addr).expect("acceptor kept accepting");
+    let responses = client.replay(&test_trace(6, 31)).expect("replay");
+    assert_eq!(responses.len(), 6);
+    drop(client);
+    server.shutdown();
 
     // The resilient client rides through the refusals on its own: the
     // `overloaded` greeting is a retryable error like any other.
-    let mut config = server_config_on(1, IoBackend::Events);
+    let mut config = server_config(1);
     config.service.faults = FaultPlan::parse("fd-exhaust=3");
     let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
     let trace = test_trace(8, 33);

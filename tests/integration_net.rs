@@ -14,7 +14,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 use vmplace::net::wire::{ServerFrame, PROTOCOL_V2};
-use vmplace::net::{codec, Client, IoBackend, Server, ServerConfig};
+use vmplace::net::{codec, Client, Server, ServerConfig};
 use vmplace::prelude::*;
 use vmplace::service::trace_io::write_trace;
 use vmplace_sim::trace::TraceConfig;
@@ -27,13 +27,6 @@ fn server_config(workers: usize, cache: bool) -> ServerConfig {
             ..ServiceConfig::default()
         },
         ..ServerConfig::default()
-    }
-}
-
-fn server_config_on(workers: usize, cache: bool, io: IoBackend) -> ServerConfig {
-    ServerConfig {
-        io,
-        ..server_config(workers, cache)
     }
 }
 
@@ -128,16 +121,17 @@ fn loopback_replay_is_bit_for_bit_equal_to_pool_and_oneshot() {
 
 #[test]
 fn concurrent_connections_get_isolated_streams_and_ordered_responses() {
-    // Two clients use the *same* stream ids; the server must namespace
-    // them apart (each client sees exactly its own trace's responses, in
-    // order, matching its private in-process replay).
+    // Two clients use the *same* stream ids, on *different* wire
+    // versions; the server must namespace them apart (each client sees
+    // exactly its own trace's responses, in order, matching its private
+    // in-process replay).
     let config = server_config(2, true);
     let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
     let addr = server.local_addr();
 
-    let handles: Vec<_> = [5u64, 8]
+    let handles: Vec<_> = [(5u64, 1u32), (8, PROTOCOL_V2)]
         .into_iter()
-        .map(|seed| {
+        .map(|(seed, wire)| {
             let config = config.service.clone();
             std::thread::spawn(move || {
                 let trace = test_trace(16, seed);
@@ -146,9 +140,9 @@ fn concurrent_connections_get_isolated_streams_and_ordered_responses() {
                     ..config
                 });
                 let expect = pool.replay(trace.clone());
-                let mut client = Client::connect(addr).expect("connect");
+                let mut client = Client::connect_with(addr, wire).expect("connect");
                 let got = client.replay(&trace).expect("replay");
-                assert_replays_equal(&expect, &got, &format!("seed {seed}"));
+                assert_replays_equal(&expect, &got, &format!("seed {seed} v{wire}"));
             })
         })
         .collect();
@@ -171,36 +165,38 @@ fn two_ephemeral_servers_coexist() {
 
 #[test]
 fn shutdown_drains_in_flight_requests_and_is_idempotent() {
-    let mut server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
-    let addr = server.local_addr();
-    let trace = test_trace(10, 7);
+    for wire in [1u32, PROTOCOL_V2] {
+        let mut server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
+        let addr = server.local_addr();
+        let trace = test_trace(10, 7);
 
-    let mut client = Client::connect(addr).expect("connect");
-    for req in &trace {
-        client.submit(req).expect("submit");
+        let mut client = Client::connect_with(addr, wire).expect("connect");
+        for req in &trace {
+            client.submit(req).expect("submit");
+        }
+        client.flush().expect("flush");
+
+        // Shut down concurrently with the burst being solved: every
+        // submitted request must still be answered before the drain
+        // completes.
+        let drainer = std::thread::spawn(move || {
+            server.shutdown();
+            server.shutdown(); // idempotent
+            server
+        });
+        let responses: Result<Vec<_>, _> = client.responses().collect();
+        let responses = responses.expect("all in-flight responses delivered");
+        assert_eq!(responses.len(), trace.len(), "v{wire}");
+        for (i, r) in responses.iter().enumerate() {
+            assert_eq!(r.id, i as u64, "v{wire}: submission order");
+            assert_ne!(r.outcome, RequestOutcome::Rejected, "v{wire}");
+        }
+
+        let mut server = drainer.join().expect("drain");
+        // Fully drained servers refuse new connections outright.
+        assert!(Client::connect(addr).is_err(), "v{wire}");
+        server.shutdown(); // still idempotent after wait
     }
-    client.flush().expect("flush");
-
-    // Shut down concurrently with the burst being solved: every
-    // submitted request must still be answered before the drain
-    // completes.
-    let drainer = std::thread::spawn(move || {
-        server.shutdown();
-        server.shutdown(); // idempotent
-        server
-    });
-    let responses: Result<Vec<_>, _> = client.responses().collect();
-    let responses = responses.expect("all in-flight responses delivered");
-    assert_eq!(responses.len(), trace.len());
-    for (i, r) in responses.iter().enumerate() {
-        assert_eq!(r.id, i as u64, "submission order");
-        assert_ne!(r.outcome, RequestOutcome::Rejected);
-    }
-
-    let mut server = drainer.join().expect("drain");
-    // Fully drained servers refuse new connections outright.
-    assert!(Client::connect(addr).is_err());
-    server.shutdown(); // still idempotent after wait
 }
 
 #[test]
@@ -289,12 +285,12 @@ fn trace_file_and_wire_speak_the_same_framing() {
     server.shutdown();
 }
 
-/// The headline matrix of this front-end: every {io backend} × {wire
-/// version} pairing replays the same trace bit-for-bit equal to the
-/// in-process pool — the event loop and the binary codec are pure
-/// transport, invisible in every response field.
+/// The headline matrix of this front-end: both wire versions replay the
+/// same trace bit-for-bit equal to the in-process pool, at 1 and 4
+/// workers, cache on and off — the event loop and the binary codec are
+/// pure transport, invisible in every response field.
 #[test]
-fn every_io_backend_and_wire_version_replays_bit_for_bit_equal_to_pool() {
+fn every_wire_version_replays_bit_for_bit_equal_to_pool() {
     let trace = test_trace(24, 3);
     for workers in [1usize, 4] {
         for cache in [false, true] {
@@ -303,27 +299,15 @@ fn every_io_backend_and_wire_version_replays_bit_for_bit_equal_to_pool() {
             let pooled = pool.replay(trace.clone());
             pool.shutdown();
 
-            for io in [IoBackend::Threads, IoBackend::Events] {
-                for wire in [1u32, PROTOCOL_V2] {
-                    // The full grid at 1 worker; the expensive 4-worker
-                    // points only for the headline pairings (threads+v1
-                    // is the PR 7 baseline, events+v2 the new core).
-                    let headline = (io, wire) == (IoBackend::Threads, 1)
-                        || (io, wire) == (IoBackend::Events, PROTOCOL_V2);
-                    if workers != 1 && !headline {
-                        continue;
-                    }
-                    let what = format!("workers {workers} cache {cache} {io:?} v{wire}");
-                    let config = server_config_on(workers, cache, io);
-                    let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
-                    let mut client =
-                        Client::connect_with(server.local_addr(), wire).expect("connect");
-                    assert_eq!(client.wire_version(), wire, "{what}: negotiation");
-                    let remote = client.replay(&trace).expect("remote replay");
-                    drop(client);
-                    server.shutdown();
-                    assert_replays_equal(&pooled, &remote, &format!("{what}: pool vs loopback"));
-                }
+            for wire in [1u32, PROTOCOL_V2] {
+                let what = format!("workers {workers} cache {cache} v{wire}");
+                let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
+                let mut client = Client::connect_with(server.local_addr(), wire).expect("connect");
+                assert_eq!(client.wire_version(), wire, "{what}: negotiation");
+                let remote = client.replay(&trace).expect("remote replay");
+                drop(client);
+                server.shutdown();
+                assert_replays_equal(&pooled, &remote, &format!("{what}: pool vs loopback"));
             }
         }
     }
@@ -333,20 +317,18 @@ fn every_io_backend_and_wire_version_replays_bit_for_bit_equal_to_pool() {
 fn v1_clients_against_a_v2_server_get_byte_identical_v1_traffic() {
     // A v1 text client must not be able to tell a v2-capable server from
     // a v1-only build: raw bytes, not just parsed equivalence.
-    for io in [IoBackend::Threads, IoBackend::Events] {
-        let mut server = Server::bind("127.0.0.1:0", &server_config_on(1, true, io)).expect("bind");
-        let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
-        raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-        raw.write_all(b"vmplace-net 1\nping tok\n").unwrap();
-        raw.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut buf = String::new();
-        raw.read_to_string(&mut buf).expect("clean close");
-        assert_eq!(
-            buf, "vmplace-net 1 ready\npong tok\nbye\n",
-            "{io:?}: v1 byte stream changed"
-        );
-        server.shutdown();
-    }
+    let mut server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    raw.write_all(b"vmplace-net 1\nping tok\n").unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut buf = String::new();
+    raw.read_to_string(&mut buf).expect("clean close");
+    assert_eq!(
+        buf, "vmplace-net 1 ready\npong tok\nbye\n",
+        "v1 byte stream changed"
+    );
+    server.shutdown();
 
     // And the other direction: a v2-requesting client against a server
     // pinned to v1 negotiates down transparently.
@@ -398,133 +380,64 @@ fn v2_exchange(addr: std::net::SocketAddr, payload: &[u8]) -> (String, Vec<Serve
 
 #[test]
 fn v2_malformed_frames_get_structured_errors_never_hangs() {
-    // Both backends run the same protocol engine; exercise each.
-    for io in [IoBackend::Threads, IoBackend::Events] {
-        let mut server = Server::bind("127.0.0.1:0", &server_config_on(1, true, io)).expect("bind");
-        let addr = server.local_addr();
-
-        // A length field lying beyond MAX_FRAME_BYTES is refused before
-        // any allocation.
-        let lie = [codec::kind::REQUEST, 0xff, 0xff, 0xff, 0xff];
-        let (greeting, frames) = v2_exchange(addr, &lie);
-        assert_eq!(greeting, "vmplace-net 2 ready", "{io:?}");
-        match &frames[..] {
-            [ServerFrame::Error { code, .. }, ServerFrame::Bye] => {
-                assert_eq!(code, "frame-too-large", "{io:?}");
-            }
-            other => panic!("{io:?}: expected error+bye, got {other:?}"),
-        }
-
-        // Unknown frame kinds answer `bad-frame`.
-        let (_, frames) = v2_exchange(addr, &[0x7f, 0, 0, 0, 0]);
-        match &frames[..] {
-            [ServerFrame::Error { code, .. }, ServerFrame::Bye] => {
-                assert_eq!(code, "bad-frame", "{io:?}");
-            }
-            other => panic!("{io:?}: expected error+bye, got {other:?}"),
-        }
-
-        // A request body of the right length but garbage content answers
-        // `bad-frame` too.
-        let mut garbage = codec::header(codec::kind::REQUEST, 8).to_vec();
-        garbage.extend_from_slice(&[0xAB; 8]);
-        let (_, frames) = v2_exchange(addr, &garbage);
-        match &frames[..] {
-            [ServerFrame::Error { code, .. }, ServerFrame::Bye] => {
-                assert_eq!(code, "bad-frame", "{io:?}");
-            }
-            other => panic!("{io:?}: expected error+bye, got {other:?}"),
-        }
-
-        // A frame truncated by the peer (header promises more than ever
-        // arrives) ends in a clean `bye` at EOF — never a hang.
-        let truncated = codec::header(codec::kind::REQUEST, 100);
-        let (_, frames) = v2_exchange(addr, &truncated);
-        assert!(
-            matches!(frames.last(), Some(ServerFrame::Bye)),
-            "{io:?}: {frames:?}"
-        );
-
-        // After the abuse, normal v2 traffic still works.
-        let mut client = Client::connect_with(addr, PROTOCOL_V2).expect("connect");
-        let responses = client.replay(&test_trace(6, 1)).expect("replay");
-        assert_eq!(responses.len(), 6);
-        drop(client);
-        server.shutdown();
-    }
-}
-
-#[test]
-fn event_backend_drains_in_flight_requests_and_is_idempotent() {
-    // The PR 7 drain contract, re-proven against the event loop: every
-    // request submitted before the drain is answered before `bye`.
-    let config = server_config_on(1, true, IoBackend::Events);
-    let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
+    let mut server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
     let addr = server.local_addr();
-    let trace = test_trace(10, 7);
 
+    // A length field lying beyond MAX_FRAME_BYTES is refused before
+    // any allocation.
+    let lie = [codec::kind::REQUEST, 0xff, 0xff, 0xff, 0xff];
+    let (greeting, frames) = v2_exchange(addr, &lie);
+    assert_eq!(greeting, "vmplace-net 2 ready");
+    match &frames[..] {
+        [ServerFrame::Error { code, .. }, ServerFrame::Bye] => {
+            assert_eq!(code, "frame-too-large");
+        }
+        other => panic!("expected error+bye, got {other:?}"),
+    }
+
+    // Unknown frame kinds answer `bad-frame`.
+    let (_, frames) = v2_exchange(addr, &[0x7f, 0, 0, 0, 0]);
+    match &frames[..] {
+        [ServerFrame::Error { code, .. }, ServerFrame::Bye] => {
+            assert_eq!(code, "bad-frame");
+        }
+        other => panic!("expected error+bye, got {other:?}"),
+    }
+
+    // A request body of the right length but garbage content answers
+    // `bad-frame` too.
+    let mut garbage = codec::header(codec::kind::REQUEST, 8).to_vec();
+    garbage.extend_from_slice(&[0xAB; 8]);
+    let (_, frames) = v2_exchange(addr, &garbage);
+    match &frames[..] {
+        [ServerFrame::Error { code, .. }, ServerFrame::Bye] => {
+            assert_eq!(code, "bad-frame");
+        }
+        other => panic!("expected error+bye, got {other:?}"),
+    }
+
+    // A frame truncated by the peer (header promises more than ever
+    // arrives) ends in a clean `bye` at EOF — never a hang.
+    let truncated = codec::header(codec::kind::REQUEST, 100);
+    let (_, frames) = v2_exchange(addr, &truncated);
+    assert!(
+        matches!(frames.last(), Some(ServerFrame::Bye)),
+        "{frames:?}"
+    );
+
+    // After the abuse, normal v2 traffic still works.
     let mut client = Client::connect_with(addr, PROTOCOL_V2).expect("connect");
-    for req in &trace {
-        client.submit(req).expect("submit");
-    }
-    client.flush().expect("flush");
-
-    let drainer = std::thread::spawn(move || {
-        server.shutdown();
-        server.shutdown(); // idempotent
-        server
-    });
-    let responses: Result<Vec<_>, _> = client.responses().collect();
-    let responses = responses.expect("all in-flight responses delivered");
-    assert_eq!(responses.len(), trace.len());
-    for (i, r) in responses.iter().enumerate() {
-        assert_eq!(r.id, i as u64, "submission order");
-        assert_ne!(r.outcome, RequestOutcome::Rejected);
-    }
-
-    let mut server = drainer.join().expect("drain");
-    assert!(Client::connect(addr).is_err(), "drained server refuses");
+    let responses = client.replay(&test_trace(6, 1)).expect("replay");
+    assert_eq!(responses.len(), 6);
+    drop(client);
     server.shutdown();
 }
 
 #[test]
-fn event_backend_isolates_concurrent_connections() {
-    // Same-stream-id isolation across connections, on the event loop,
-    // with the two clients on *different* wire versions.
-    let config = server_config_on(2, true, IoBackend::Events);
-    let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
-    let addr = server.local_addr();
-
-    let handles: Vec<_> = [(5u64, 1u32), (8, PROTOCOL_V2)]
-        .into_iter()
-        .map(|(seed, wire)| {
-            let config = config.service.clone();
-            std::thread::spawn(move || {
-                let trace = test_trace(16, seed);
-                let mut pool = SolverPool::new(&ServiceConfig {
-                    workers: 1,
-                    ..config
-                });
-                let expect = pool.replay(trace.clone());
-                let mut client = Client::connect_with(addr, wire).expect("connect");
-                let got = client.replay(&trace).expect("replay");
-                assert_replays_equal(&expect, &got, &format!("seed {seed} v{wire}"));
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("client thread");
-    }
-    server.shutdown();
-}
-
-#[test]
-fn idle_connections_cost_no_wakeups_on_the_event_backend() {
-    // The busy-wake satellite: 256 idle connections on the event backend
-    // must produce ~zero wake-ups between requests, where the threaded
-    // backend's readers wake once per connection per 100 ms by design.
-    let config = server_config_on(1, true, IoBackend::Events);
-    let server = Server::bind("127.0.0.1:0", &config).expect("bind");
+fn idle_connections_cost_no_wakeups() {
+    // 256 idle connections must produce ~zero event-loop wake-ups
+    // between requests: the loops block until readiness.
+    let server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
     let addr = server.local_addr();
     let conns: Vec<Client> = (0..256)
         .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
@@ -537,24 +450,6 @@ fn idle_connections_cost_no_wakeups_on_the_event_backend() {
     assert!(
         idle_wakeups <= 16,
         "256 idle connections woke the event loops {idle_wakeups} times in 600 ms"
-    );
-    drop(conns);
-    drop(server);
-
-    // The threaded baseline (at a smaller scale — two OS threads per
-    // connection): ~10 wake-ups per connection per second.
-    let server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
-    let addr = server.local_addr();
-    let conns: Vec<Client> = (0..64)
-        .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
-        .collect();
-    std::thread::sleep(Duration::from_millis(200));
-    let before = server.io_wakeups();
-    std::thread::sleep(Duration::from_millis(600));
-    let threaded_wakeups = server.io_wakeups() - before;
-    assert!(
-        threaded_wakeups >= 64,
-        "threaded baseline should busy-wake (~6 polls per conn in 600 ms), got {threaded_wakeups}"
     );
     drop(conns);
     drop(server);
@@ -623,8 +518,7 @@ proptest! {
         server.shutdown();
     }
 
-    /// The same adversarial treatment for v2 binary frames, against the
-    /// event-loop backend: bit flips, truncations, splices and length
+    /// The same adversarial treatment for v2 binary frames: bit flips, truncations, splices and length
     /// lies must always end in structured frames plus a close — never a
     /// hang, never a poisoned server.
     #[test]
@@ -633,8 +527,7 @@ proptest! {
         byte in 0u8..=255,
         mode in 0usize..4,
     ) {
-        let config = server_config_on(1, true, IoBackend::Events);
-        let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
+        let mut server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
         let addr = server.local_addr();
 
         let mut payload = valid_v2_conversation();
