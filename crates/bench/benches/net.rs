@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vmplace_model::{AllocRequest, RequestKind};
-use vmplace_net::wire::PROTOCOL_V2;
+use vmplace_net::wire::{read_server_frame, write_response, PROTOCOL_V2};
 use vmplace_net::{codec, Client, Server, ServerConfig};
 use vmplace_service::trace_io::{write_request, BlockAssembler};
 use vmplace_service::{ServiceConfig, SolverPool};
@@ -118,6 +118,53 @@ fn bench_net(c: &mut Criterion) {
     });
     group.bench_function("codec_v2_binary_decode", |b| {
         b.iter(|| codec::decode_client_frame(kind, &body).expect("v2 decode"))
+    });
+
+    // The same for one solved answer of the serving workloads' shape
+    // (64 hosts, 100 services): what every cached re-solve sends back.
+    let answers = SolverPool::new(&config).replay(
+        TraceConfig {
+            streams: 4,
+            requests: 4,
+            scenario: ScenarioConfig {
+                hosts: 64,
+                services: 100,
+                cov: 0.5,
+                memory_slack: 0.6,
+                ..ScenarioConfig::default()
+            },
+            ..TraceConfig::default()
+        }
+        .generate(1),
+    );
+    let answer = answers
+        .into_iter()
+        .find(|r| r.solution.is_some())
+        .expect("one of four j100 instances places");
+    let mut text = String::new();
+    write_response(&mut text, &answer);
+    group.bench_function("codec_v1_text_encode_response", |b| {
+        b.iter(|| {
+            let mut s = String::with_capacity(text.len());
+            write_response(&mut s, &answer);
+            s
+        })
+    });
+    group.bench_function("codec_v1_text_decode_response", |b| {
+        b.iter(|| read_server_frame(&mut text.as_bytes()).expect("v1 response"))
+    });
+    let mut bin = Vec::new();
+    codec::encode_response(&mut bin, &answer);
+    let body = bin[codec::HEADER_LEN..].to_vec();
+    group.bench_function("codec_v2_binary_encode_response", |b| {
+        b.iter(|| {
+            let mut out = Vec::with_capacity(bin.len());
+            codec::encode_response(&mut out, &answer);
+            out
+        })
+    });
+    group.bench_function("codec_v2_binary_decode_response", |b| {
+        b.iter(|| codec::decode_response(&body).expect("v2 response"))
     });
 
     let bursts = resolve_burst_trace(16);

@@ -51,25 +51,33 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn fmt_vec(v: &ResourceVector) -> String {
-    v.as_slice()
-        .iter()
-        .map(|x| format!("{x}"))
-        .collect::<Vec<_>>()
-        .join(" ")
+/// Appends the vectors' entries space-separated, the vectors joined by
+/// ` | `, each number formatted straight into `out`.
+fn fmt_vecs(out: &mut String, vectors: &[&ResourceVector]) {
+    for (k, v) in vectors.iter().enumerate() {
+        if k > 0 {
+            out.push_str(" | ");
+        }
+        for (i, x) in v.as_slice().iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            let _ = write!(out, "{x}");
+        }
+    }
 }
 
 /// Serialises the four descriptor vectors of a service as the text
 /// format's `|`-separated body (everything after the `service` keyword).
 /// Round-trips exactly through [`parse_service_body`].
 pub fn write_service_body(s: &Service) -> String {
-    format!(
-        "{} | {} | {} | {}",
-        fmt_vec(&s.req_elem),
-        fmt_vec(&s.req_agg),
-        fmt_vec(&s.need_elem),
-        fmt_vec(&s.need_agg)
-    )
+    let mut out = String::new();
+    fmt_service_body(&mut out, s);
+    out
+}
+
+fn fmt_service_body(out: &mut String, s: &Service) {
+    fmt_vecs(out, &[&s.req_elem, &s.req_agg, &s.need_elem, &s.need_agg]);
 }
 
 /// Parses a service from its `|`-separated body (see
@@ -93,15 +101,14 @@ pub fn write_instance(instance: &ProblemInstance) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "dims {}", instance.dims());
     for n in instance.nodes() {
-        let _ = writeln!(
-            out,
-            "node {} | {}",
-            fmt_vec(&n.elementary),
-            fmt_vec(&n.aggregate)
-        );
+        out.push_str("node ");
+        fmt_vecs(&mut out, &[&n.elementary, &n.aggregate]);
+        out.push('\n');
     }
     for s in instance.services() {
-        let _ = writeln!(out, "service {}", write_service_body(s));
+        out.push_str("service ");
+        fmt_service_body(&mut out, s);
+        out.push('\n');
     }
     out
 }
@@ -215,6 +222,39 @@ mod tests {
         let back = read_instance(&text).unwrap();
         assert_eq!(back.nodes(), inst.nodes());
         assert_eq!(back.services(), inst.services());
+    }
+
+    #[test]
+    fn instance_text_bytes_are_pinned() {
+        let inst = ProblemInstance::new(
+            vec![
+                Node::multicore(4, 0.8, 1.0),
+                Node::new(vec![0.1 + 0.2, 0.5], vec![1.0 / 3.0 + 1.0, 2.0]),
+            ],
+            vec![
+                Service::new(
+                    vec![1e-7, 0.25],
+                    vec![0.5, 0.25],
+                    vec![0.0, 0.0],
+                    vec![0.0, 0.0],
+                ),
+                Service::new(
+                    vec![0.0, 0.1],
+                    vec![0.0, 0.1],
+                    vec![0.2, 0.0],
+                    vec![0.6, 0.0],
+                ),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            write_instance(&inst),
+            "dims 2\n\
+             node 0.8 1 | 3.2 1\n\
+             node 0.30000000000000004 0.5 | 1.3333333333333333 2\n\
+             service 0.0000001 0.25 | 0.5 0.25 | 0 0 | 0 0\n\
+             service 0 0.1 | 0 0.1 | 0.2 0 | 0.6 0\n"
+        );
     }
 
     #[test]

@@ -18,12 +18,14 @@ use vmplace_service::trace_io::write_request;
 /// [`Client::recv_response`] (or the [`Client::responses`] iterator)
 /// flushes pending writes and blocks for the next frame.
 ///
-/// [`Client::connect`] speaks wire protocol v1 (text);
-/// [`Client::connect_with`] requests a higher version and transparently
-/// accepts whatever the server negotiates down to — after the text
-/// handshake the connection is driven in the negotiated framing, and
-/// every response is identical field-for-field whichever version carried
-/// it ([`Client::wire_version`] reports the outcome).
+/// [`Client::connect`] requests the highest wire version this build
+/// speaks ([`MAX_PROTOCOL_VERSION`], the v2 binary framing) and
+/// transparently accepts whatever the server negotiates down to;
+/// [`Client::connect_with`] requests a chosen version (`1` pins the v1
+/// text framing). After the text handshake the connection is driven in
+/// the negotiated framing, and every response is identical
+/// field-for-field whichever version carried it
+/// ([`Client::wire_version`] reports the outcome).
 ///
 /// ```no_run
 /// use vmplace_net::Client;
@@ -45,11 +47,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects speaking wire protocol v1 (text) and performs the
-    /// handshake. A server that is shutting down answers the handshake
-    /// with `draining`, surfaced as [`NetError::Draining`].
+    /// Connects requesting [`MAX_PROTOCOL_VERSION`] (v2, binary) and
+    /// performs the handshake; a v1-only server negotiates it down to
+    /// text. A server that is shutting down answers the handshake with
+    /// `draining`, surfaced as [`NetError::Draining`].
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, NetError> {
-        Client::connect_with(addr, PROTOCOL_VERSION)
+        Client::connect_with(addr, MAX_PROTOCOL_VERSION)
     }
 
     /// Connects requesting wire version `wire` (1 or 2) and accepts

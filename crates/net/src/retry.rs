@@ -100,6 +100,10 @@ fn splitmix(mut x: u64) -> u64 {
 /// `overloaded` sheds (honoring their `retry-after-ms` hints), within
 /// the policy's attempt cap.
 ///
+/// Every connection requests the highest wire version this build speaks
+/// (v2, binary), negotiated down against a v1-only server, as
+/// [`Client::connect`] does; [`replay_resilient_with`] pins a version.
+///
 /// Request ids must be unique within the trace (they key the answer
 /// bookkeeping). Returns the responses sorted by request id, like
 /// [`Client::replay`].
@@ -108,7 +112,7 @@ pub fn replay_resilient<A: ToSocketAddrs + Clone>(
     trace: &[AllocRequest],
     policy: &RetryPolicy,
 ) -> Result<Vec<AllocResponse>, NetError> {
-    replay_resilient_with(addr, trace, policy, crate::wire::PROTOCOL_VERSION)
+    replay_resilient_with(addr, trace, policy, crate::wire::MAX_PROTOCOL_VERSION)
 }
 
 /// [`replay_resilient`] requesting wire version `wire` on every

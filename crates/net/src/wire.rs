@@ -172,12 +172,15 @@ pub fn read_line_bounded<R: BufRead>(reader: &mut R, max: usize) -> std::io::Res
     }
 }
 
-fn fmt_f64s(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v}"))
-        .collect::<Vec<_>>()
-        .join(" ")
+/// Appends `values` space-separated, each formatted straight into `out`.
+fn fmt_f64s(out: &mut String, values: &[f64]) {
+    use std::fmt::Write as _;
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        let _ = write!(out, "{v}");
+    }
 }
 
 /// Serialises one response frame (`response … end`).
@@ -216,7 +219,9 @@ pub fn write_response(out: &mut String, resp: &AllocResponse) {
     }
     if let Some(sol) = &resp.solution {
         let _ = writeln!(out, "minyield {}", sol.min_yield);
-        let _ = writeln!(out, "yields {}", fmt_f64s(&sol.yields));
+        out.push_str("yields ");
+        fmt_f64s(out, &sol.yields);
+        out.push('\n');
         out.push_str("nodes");
         for j in 0..sol.placement.len() {
             match sol.placement.node_of(j) {
@@ -451,6 +456,41 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits(), "yield bits");
         }
         assert_eq!(a.placement, b.placement);
+    }
+
+    #[test]
+    fn solved_response_frame_bytes_are_pinned() {
+        // Shortest round-trip decimals, integral values without a
+        // fraction, an unplaced service and every optional attribute a
+        // solved frame can carry: the exact bytes v1 clients parse.
+        let resp = AllocResponse {
+            id: 42,
+            stream: 7,
+            outcome: RequestOutcome::Solved,
+            solution: Some(Solution {
+                placement: Placement::from_assignment(vec![Some(1), Some(0), None, Some(12)]),
+                yields: vec![0.1 + 0.2, 1.0 / 3.0, 1e-7, 1.0],
+                min_yield: 1e-7,
+            }),
+            winner: Some("FF/MAX_DESC/NAT".into()),
+            probes: 99,
+            wall: Duration::from_micros(12345),
+            error: None,
+            cached: true,
+            migrations: Some(2),
+            retry_after: None,
+        };
+        let mut text = String::new();
+        write_response(&mut text, &resp);
+        assert_eq!(
+            text,
+            "response 42 7 solved 99 12345 cached repaired=2\n\
+             winner FF/MAX_DESC/NAT\n\
+             minyield 0.0000001\n\
+             yields 0.30000000000000004 0.3333333333333333 0.0000001 1\n\
+             nodes 1 0 - 12\n\
+             end\n"
+        );
     }
 
     #[test]

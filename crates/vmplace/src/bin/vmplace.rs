@@ -5,16 +5,17 @@
 //!                [--threads N] [--budget-ms MS] [--report]
 //! vmplace replay <trace.txt> [--algo …] [--workers N] [--no-warm] [--no-order]
 //!                [--no-cache] [--oneshot] [--budget-ms MS] [--policy P] [--quiet]
+//!                [--queue-depth N] [--faults SPEC]
 //! vmplace replay --gen [--streams S] [--requests R] [--seed K] [--hosts N]
 //!                [--services J] [--cov C] [--slack S] [--burst B] [--emit]
 //!                [--shape spike|flash|churn] [--workers N] …
 //! vmplace serve  [--port P | --addr A] [--algo …] [--workers N] [--no-warm]
 //!                [--no-order] [--no-cache] [--budget-ms MS]
-//!                [--queue-depth N] [--faults SPEC] [--wire v1|v2]
+//!                [--queue-depth N] [--faults SPEC] [--wire v2|v1]
 //!                [--event-threads N] [--metrics-interval SECS]
 //! vmplace client <addr> [<trace.txt>|--gen] [--quiet] [--shutdown] [--ping]
-//!                [--stats] [--retries N] [--wire v1|v2] […--gen opts]
-//! vmplace top    <addr> [--wire v1|v2]
+//!                [--stats] [--retries N] [--wire v2|v1] […--gen opts]
+//! vmplace top    <addr> [--wire v2|v1]
 //! vmplace gen    [--hosts 64] [--services 100] [--cov 0.5] [--slack 0.5] [--seed 0]
 //! vmplace example
 //! ```
@@ -57,8 +58,15 @@
 //! human summary (request/connection counters, queue depth, shed and
 //! panic counts, cache hit ratio, latency quantiles).
 //!
+//! `--wire` names the wire generation a `serve`, `client` or `top`
+//! speaks: `v2` (binary, the default) or `v1` (text). A client's request
+//! is negotiated down against a server pinned to `v1`, so either side
+//! alone can pin text.
+//!
 //! `gen` prints a generated §4-style instance (pipe it to a file, edit
 //! it, solve it). `example` prints the paper's Figure 1 instance.
+//!
+//! Every subcommand rejects a `--flag` its usage does not list (exit 2).
 
 use vmplace::prelude::*;
 use vmplace::service::trace_io;
@@ -70,17 +78,18 @@ fn usage() -> ! {
          \x20              [--threads N] [--budget-ms MS] [--report]\n  \
          vmplace replay <trace.txt>|--gen [--algo A] [--workers N] [--no-warm] [--no-order]\n  \
          \x20              [--no-cache] [--oneshot] [--budget-ms MS] [--quiet]\n  \
+         \x20              [--queue-depth N] [--faults SPEC]\n  \
          \x20              [--policy exact|repaired|repaired:<tol>:<maxmig>]\n  \
          \x20              (--gen also: [--streams S] [--requests R] [--seed K] [--hosts N]\n  \
          \x20               [--services J] [--cov C] [--slack S] [--burst B]\n  \
          \x20               [--shape spike|flash|churn] [--emit])\n  \
          vmplace serve [--port P | --addr A] [--algo A] [--workers N] [--no-warm]\n  \
          \x20              [--no-order] [--no-cache] [--budget-ms MS]\n  \
-         \x20              [--queue-depth N] [--faults SPEC] [--wire v1|v2]\n  \
+         \x20              [--queue-depth N] [--faults SPEC] [--wire v2|v1]\n  \
          \x20              [--event-threads N] [--metrics-interval SECS]\n  \
          vmplace client <addr> [<trace.txt>|--gen] [--quiet] [--shutdown] [--ping] [--stats]\n  \
-         \x20              [--retries N] [--wire v1|v2] (--gen and --policy opts as for replay)\n  \
-         vmplace top <addr> [--wire v1|v2]\n  \
+         \x20              [--retries N] [--wire v2|v1] (--gen and --policy opts as for replay)\n  \
+         vmplace top <addr> [--wire v2|v1]\n  \
          vmplace gen [--hosts N] [--services J] [--cov C] [--slack S] [--seed K]\n  \
          vmplace example"
     );
@@ -94,8 +103,137 @@ fn flag_value(args: &[String], key: &str) -> Option<String> {
         .cloned()
 }
 
+/// Flags as the usage text lists them: the name, and whether it takes a
+/// value.
+type Flags = &'static [(&'static str, bool)];
+
+/// `trace_from_args`: a generated trace's shape and the policy stamp.
+const TRACE_FLAGS: Flags = &[
+    ("--gen", false),
+    ("--streams", true),
+    ("--requests", true),
+    ("--seed", true),
+    ("--hosts", true),
+    ("--services", true),
+    ("--cov", true),
+    ("--slack", true),
+    ("--burst", true),
+    ("--shape", true),
+    ("--policy", true),
+];
+
+/// `service_config_from_args`.
+const SERVICE_FLAGS: Flags = &[
+    ("--algo", true),
+    ("--workers", true),
+    ("--no-warm", false),
+    ("--no-order", false),
+    ("--no-cache", false),
+    ("--budget-ms", true),
+    ("--queue-depth", true),
+    ("--faults", true),
+];
+
+const WIRE_FLAGS: Flags = &[("--wire", true)];
+
+/// The flags `cmd` accepts, or `None` for an unknown subcommand.
+fn accepted_flags(cmd: &str) -> Option<Vec<Flags>> {
+    Some(match cmd {
+        "solve" => vec![&[
+            ("--algo", true),
+            ("--plan", false),
+            ("--threads", true),
+            ("--budget-ms", true),
+            ("--report", false),
+        ]],
+        "replay" => vec![
+            TRACE_FLAGS,
+            SERVICE_FLAGS,
+            &[("--oneshot", false), ("--quiet", false), ("--emit", false)],
+        ],
+        "serve" => vec![
+            SERVICE_FLAGS,
+            WIRE_FLAGS,
+            &[
+                ("--port", true),
+                ("--addr", true),
+                ("--event-threads", true),
+                ("--metrics-interval", true),
+            ],
+        ],
+        "client" => vec![
+            TRACE_FLAGS,
+            WIRE_FLAGS,
+            &[
+                ("--quiet", false),
+                ("--shutdown", false),
+                ("--ping", false),
+                ("--stats", false),
+                ("--retries", true),
+            ],
+        ],
+        "top" => vec![WIRE_FLAGS],
+        "gen" => vec![&[
+            ("--hosts", true),
+            ("--services", true),
+            ("--cov", true),
+            ("--slack", true),
+            ("--seed", true),
+        ]],
+        "example" => vec![],
+        _ => return None,
+    })
+}
+
+/// The first `--flag` after the subcommand that no list in `accepted`
+/// declares; a declared flag's value is skipped, never read as a flag.
+fn unknown_flag<'a>(args: &'a [String], accepted: &[Flags]) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match accepted
+            .iter()
+            .copied()
+            .flatten()
+            .find(|(name, _)| name == arg)
+        {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => return Some(arg),
+        }
+    }
+    None
+}
+
+/// The wire version `--wire v2|v1` names — the highest this build speaks
+/// when absent. A server takes it as its ceiling, a client as its
+/// request; the handshake negotiates down to the lower of the two.
+fn wire_from_args(args: &[String]) -> u32 {
+    match flag_value(args, "--wire").as_deref() {
+        None => vmplace::net::wire::MAX_PROTOCOL_VERSION,
+        Some("v2") => vmplace::net::wire::PROTOCOL_V2,
+        Some("v1") => 1,
+        Some(spec) => {
+            eprintln!("error: bad --wire `{spec}` (use v2|v1)");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(cmd) = args.first() {
+        if let Some(accepted) = accepted_flags(cmd) {
+            if let Some(flag) = unknown_flag(&args, &accepted) {
+                eprintln!("error: `vmplace {cmd}` does not accept `{flag}`");
+                std::process::exit(2);
+            }
+        }
+    }
     match args.first().map(String::as_str) {
         Some("solve") => cmd_solve(&args),
         Some("replay") => cmd_replay(&args),
@@ -516,14 +654,7 @@ fn cmd_serve(args: &[String]) {
         (None, Some(port)) => format!("127.0.0.1:{port}"),
         (None, None) => "127.0.0.1:0".to_string(),
     };
-    let max_wire = match flag_value(args, "--wire").as_deref() {
-        None | Some("v2") => vmplace::net::wire::MAX_PROTOCOL_VERSION,
-        Some("v1") => 1,
-        Some(spec) => {
-            eprintln!("error: bad --wire `{spec}` (use v1|v2)");
-            std::process::exit(2);
-        }
-    };
+    let max_wire = wire_from_args(args);
     let config = vmplace::net::ServerConfig {
         service,
         event_threads: flag_value(args, "--event-threads")
@@ -579,17 +710,7 @@ fn cmd_top(args: &[String]) {
     let Some(addr) = args.get(1).filter(|a| !a.starts_with("--")) else {
         usage();
     };
-    let wire = match flag_value(args, "--wire").as_deref() {
-        // Ask for the newest framing; the handshake negotiates down
-        // against a v1-only server transparently.
-        None | Some("v2") => vmplace::net::wire::PROTOCOL_V2,
-        Some("v1") => 1,
-        Some(spec) => {
-            eprintln!("error: bad --wire `{spec}` (use v1|v2)");
-            std::process::exit(2);
-        }
-    };
-    let mut client = connect_or_exit_retrying(addr, wire, 1);
+    let mut client = connect_or_exit_retrying(addr, wire_from_args(args), 1);
     let json = match client.stats() {
         Ok(json) => json,
         Err(e) => {
@@ -725,17 +846,7 @@ fn cmd_client(args: &[String]) {
     let Some(addr) = args.get(1).filter(|a| !a.starts_with("--")) else {
         usage();
     };
-    // Defaults to v1 so existing scripts keep their byte-for-byte wire
-    // traffic; `--wire v2` opts into the binary framing (negotiated down
-    // transparently against a v1-only server).
-    let wire = match flag_value(args, "--wire").as_deref() {
-        None | Some("v1") => 1,
-        Some("v2") => vmplace::net::wire::PROTOCOL_V2,
-        Some(spec) => {
-            eprintln!("error: bad --wire `{spec}` (use v1|v2)");
-            std::process::exit(2);
-        }
-    };
+    let wire = wire_from_args(args);
     // A trace is optional: `client <addr> --ping` and `client <addr>
     // --shutdown` are complete invocations on their own.
     let has_trace =
@@ -843,4 +954,53 @@ fn cmd_gen(args: &[String]) {
     });
     let instance = scenario.instance(get("--seed", 0.0) as u64);
     print!("{}", write_instance(&instance));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unknown(line: &str) -> Option<String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let accepted = accepted_flags(&args[0]).expect("known subcommand");
+        unknown_flag(&args, &accepted).map(String::from)
+    }
+
+    #[test]
+    fn every_subcommand_rejects_flags_its_usage_does_not_list() {
+        assert_eq!(unknown("serve --port 0 --bogus 1"), Some("--bogus".into()));
+        assert_eq!(unknown("serve --port 0 --io threads"), Some("--io".into()));
+        assert_eq!(unknown("top 127.0.0.1:1 --gen"), Some("--gen".into()));
+        assert_eq!(unknown("client 127.0.0.1:1 --emit"), Some("--emit".into()));
+        assert_eq!(unknown("gen --hosts 4 --algo light"), Some("--algo".into()));
+        assert_eq!(unknown("example --plan"), Some("--plan".into()));
+        assert!(accepted_flags("bogus").is_none());
+    }
+
+    #[test]
+    fn listed_flags_pass_and_their_values_are_skipped() {
+        assert_eq!(
+            unknown("solve i.txt --algo hvp --plan --threads 2 --report"),
+            None
+        );
+        assert_eq!(
+            unknown("replay --gen --streams 4 --burst 3 --policy repaired --faults panic=3 --emit"),
+            None
+        );
+        assert_eq!(
+            unknown("serve --port 0 --workers 2 --wire v1 --event-threads 2 --no-cache"),
+            None
+        );
+        assert_eq!(
+            unknown("client 127.0.0.1:1 --gen --seed 1 --retries 12 --wire v2 --quiet --shutdown"),
+            None
+        );
+        assert_eq!(unknown("top 127.0.0.1:1 --wire v1"), None);
+        // A value is never read as a flag, even one that looks like one.
+        assert_eq!(unknown("gen --seed --hosts"), None);
+        assert_eq!(
+            unknown("gen --seed --hosts --bogus"),
+            Some("--bogus".into())
+        );
+    }
 }

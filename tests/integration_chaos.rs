@@ -226,6 +226,35 @@ fn chaos_loopback_resilient_replay_equals_fault_free_run() {
 }
 
 #[test]
+fn default_resilient_replay_requests_v2_and_negotiates_down_under_chaos() {
+    quiet_injected_panics();
+    // `replay_resilient` asks for the newest framing on every
+    // (re)connection: all v2 against a default server, all text against
+    // one pinned to v1 — through the same faults, to the same answers.
+    let trace = test_trace(24, 11);
+    let reference = replay_oneshot(trace.clone(), &server_config(1).service);
+    for (max_wire, spoken, never) in [
+        (ServerConfig::default().max_wire, "v2", "v1"),
+        (1, "v1", "v2"),
+    ] {
+        let what = format!("max_wire {max_wire}");
+        let mut config = server_config(2);
+        config.max_wire = max_wire;
+        config.service.faults = FaultPlan::parse("panic=19,drop=21,seed=6");
+        let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
+        let got = replay_resilient(server.local_addr(), &trace, &chaos_policy(16, 1))
+            .unwrap_or_else(|e| panic!("{what}: resilient replay failed: {e}"));
+        let metrics = server.metrics();
+        server.shutdown();
+
+        assert_replays_equal(&reference, &got, &what);
+        let count = |wire: &str| metrics.counter(&format!("net.wire.{wire}")).get();
+        assert!(count(spoken) > 0, "{what}: no {spoken} handshake");
+        assert_eq!(count(never), 0, "{what}: a connection spoke {never}");
+    }
+}
+
+#[test]
 fn chaos_concurrent_connections_stay_isolated() {
     quiet_injected_panics();
     // One chaotic server, two concurrent clients with their own traces:

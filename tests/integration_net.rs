@@ -314,6 +314,32 @@ fn every_wire_version_replays_bit_for_bit_equal_to_pool() {
 }
 
 #[test]
+fn default_client_requests_v2_and_negotiates_down_to_a_v1_server() {
+    // `Client::connect` asks for the newest framing: v2 against a default
+    // server, text against one pinned to v1 — and the same answers.
+    let trace = test_trace(24, 3);
+    let config = server_config(2, true);
+    let mut pool = SolverPool::new(&config.service);
+    let pooled = pool.replay(trace.clone());
+    pool.shutdown();
+
+    for (max_wire, negotiated) in [(ServerConfig::default().max_wire, PROTOCOL_V2), (1, 1)] {
+        let what = format!("default client vs max_wire {max_wire}");
+        let config = ServerConfig {
+            max_wire,
+            ..config.clone()
+        };
+        let mut server = Server::bind("127.0.0.1:0", &config).expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        assert_eq!(client.wire_version(), negotiated, "{what}: negotiation");
+        let remote = client.replay(&trace).expect("remote replay");
+        drop(client);
+        server.shutdown();
+        assert_replays_equal(&pooled, &remote, &format!("{what}: pool vs loopback"));
+    }
+}
+
+#[test]
 fn v1_clients_against_a_v2_server_get_byte_identical_v1_traffic() {
     // A v1 text client must not be able to tell a v2-capable server from
     // a v1-only build: raw bytes, not just parsed equivalence.
