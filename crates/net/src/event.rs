@@ -202,8 +202,8 @@ impl EventCore {
         }
     }
 
-    /// Joins every loop thread (they exit once `accept_stop` is up and
-    /// their last connection has closed).
+    /// Joins every loop thread (they exit once the server is draining
+    /// and their last connection has closed).
     pub(crate) fn join(&self) {
         for slot in &self.loops {
             let handle = slot
@@ -215,6 +215,21 @@ impl EventCore {
                 let _ = handle.join();
             }
         }
+    }
+
+    /// Takes back the connections handed to loops after they exited
+    /// (call after [`EventCore::join`]).
+    pub(crate) fn take_orphans(&self) -> Vec<(TcpStream, u64)> {
+        let mut orphans = Vec::new();
+        for slot in &self.loops {
+            let mut injected = slot.injector.lock().unwrap_or_else(PoisonError::into_inner);
+            for item in injected.drain(..) {
+                if let Injected::Conn(stream, conn_id) = item {
+                    orphans.push((stream, conn_id));
+                }
+            }
+        }
+        orphans
     }
 }
 
@@ -590,8 +605,8 @@ fn event_loop<E: EventedIo>(
             shared.retire_conn(conn_id);
         }
 
-        // Exit: the acceptor is gone and nothing is left to serve.
-        if shared.accept_stop.load(Ordering::SeqCst) && conns.is_empty() {
+        // Exit: the server is draining and nothing is left to serve.
+        if draining && conns.is_empty() {
             let empty = injector
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)

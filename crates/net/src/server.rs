@@ -230,8 +230,8 @@ impl Ord for Pending {
 pub(crate) struct Shared {
     addr: SocketAddr,
     pub(crate) draining: AtomicBool,
-    /// Set at the very end of the drain: the acceptor exits instead of
-    /// answering `draining`, and the event loops may finish.
+    /// Set once the drain's event loops have finished: the acceptor
+    /// greets one last connection (the drain's wake-up) and exits.
     pub(crate) accept_stop: AtomicBool,
     /// Signalled when a `shutdown` wire frame (or [`Server::shutdown`])
     /// requests the drain.
@@ -907,24 +907,29 @@ impl Server {
         // Wake the event loops so they notice the draining flag and start
         // their per-connection grace windows: each connection still reads
         // every frame already received, closes intake on its first quiet
-        // [`DRAIN_QUIET`] interval, answers every request read (the pool
-        // workers are still running) and says `bye`.
+        // [`DRAIN_QUIET`] interval (at the latest after [`DRAIN_GRACE`]),
+        // answers every request read (the pool workers are still running)
+        // and says `bye`. A loop exits once its last connection has
+        // closed. Meanwhile the acceptor keeps answering new connections
+        // with the `draining` greeting.
         self.core.wake_all();
+        self.core.join();
 
         // Retire the acceptor: flag it down and wake it out of accept()
-        // with a throwaway connection. Until it exits, new connections
-        // are answered with the `draining` greeting.
+        // with a throwaway connection.
         shared.accept_stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(shared.addr);
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-
-        // Event loops exit once `accept_stop` is up and their last
-        // connection has been answered and closed; the pool workers are
-        // still alive underneath them until that point.
-        self.core.wake_all();
-        self.core.join();
+        // A connection the acceptor handed over just as the drain began
+        // can reach a loop that had already exited: greet it rather than
+        // close it silently.
+        for (stream, conn_id) in self.core.take_orphans() {
+            let _ = stream.set_nonblocking(false);
+            reject(stream, &draining_line());
+            shared.retire_conn(conn_id);
+        }
 
         // Finally the pool itself: dropping it drains worker queues
         // (already empty — every completion was awaited) and joins the
@@ -1012,16 +1017,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, core: Arc<EventCore>)
                 return;
             }
         };
-        if shared.accept_stop.load(Ordering::SeqCst) {
-            return; // the drain's wake-up connection
-        }
         if shared.draining.load(Ordering::SeqCst) {
             // Reject with the draining greeting and keep accepting (so
             // every rejected client gets the frame until the drain ends).
-            reject(
-                stream,
-                &format!("{} {} draining\n", wire::MAGIC, PROTOCOL_VERSION),
-            );
+            reject(stream, &draining_line());
+            if shared.accept_stop.load(Ordering::SeqCst) {
+                return; // the drain's wake-up connection (or one racing it)
+            }
             continue;
         }
         accepted += 1;
@@ -1053,6 +1055,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, core: Arc<EventCore>)
             connection_intake(&shared, &core, stream, conn_id)
         }));
     }
+}
+
+/// The greeting a draining server answers new connections with.
+fn draining_line() -> String {
+    format!("{} {} draining\n", wire::MAGIC, PROTOCOL_VERSION)
 }
 
 /// Refuses a connection with a one-line answer, making sure the line

@@ -35,7 +35,6 @@
 //! [`RequestOutcome::Failed`]: vmplace_model::RequestOutcome::Failed
 //! [`RequestOutcome::Overloaded`]: vmplace_model::RequestOutcome::Overloaded
 
-use crate::dispatch::Dispatcher;
 use crate::metrics::ServiceMetrics;
 use crate::worker::{ServiceConfig, Worker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,11 +79,11 @@ pub type ResponseSink = Arc<dyn Fn(AllocResponse) + Send + Sync>;
 
 /// What travels down a worker's request channel.
 enum WorkerMsg {
-    /// A batch of consecutive same-stream requests to process in order.
-    Batch {
-        requests: Vec<AllocRequest>,
-        /// When the batch was admitted (deadline-aware shedding measures
-        /// queueing delay from here).
+    /// One admitted request.
+    Request {
+        request: AllocRequest,
+        /// When the request was admitted (deadline-aware shedding
+        /// measures queueing delay from here).
         enqueued: Instant,
     },
     /// A mutating request for `stream` was shed at admission: poison the
@@ -142,10 +141,11 @@ impl Gauge {
 ///
 /// Workers are spawned once, each building its engine (roster, packing
 /// workspaces, persistent simplex) a single time; requests then stream
-/// through per-worker FIFO channels. Streams are sharded by
-/// `stream % workers` (see [`Dispatcher`]), so replaying a trace through
-/// 1 or N workers produces identical responses on unbudgeted traces —
-/// the differential suite in `tests/integration_service.rs` pins this.
+/// through per-worker FIFO channels. Every request of a stream goes to
+/// worker `stream % workers`, in submission order, so per-stream warm
+/// state never migrates and replaying a trace through 1 or N workers
+/// produces identical responses on unbudgeted traces — the differential
+/// suite in `tests/integration_service.rs` pins this.
 ///
 /// ## Lifecycle
 ///
@@ -177,7 +177,6 @@ impl Gauge {
 /// assert!(responses[0].solution.is_some());
 /// ```
 pub struct SolverPool {
-    dispatcher: Dispatcher,
     senders: Vec<Sender<WorkerMsg>>,
     /// Present in channel mode only.
     results: Option<Receiver<AllocResponse>>,
@@ -218,7 +217,6 @@ impl SolverPool {
 
     fn spawn(config: &ServiceConfig, completion: Completion) -> SolverPool {
         let workers = config.workers.max(1);
-        let dispatcher = Dispatcher::new(workers);
         let gauges: Vec<Gauge> = (0..workers).map(|_| Gauge::default()).collect();
         if let Some(registry) = &config.metrics {
             // The gauges stay the single source of truth (admission
@@ -248,7 +246,6 @@ impl SolverPool {
             senders.push(tx);
         }
         SolverPool {
-            dispatcher,
             senders,
             results: None,
             handles,
@@ -261,10 +258,10 @@ impl SolverPool {
         }
     }
 
-    /// Enqueues requests without waiting: they are batched (consecutive
-    /// same-stream runs) and routed to their streams' workers. In channel
-    /// mode, pair with [`SolverPool::collect`]; in sink mode, responses
-    /// arrive through the callback.
+    /// Enqueues requests without waiting: each is routed to its stream's
+    /// worker (`stream % workers`). In channel mode, pair with
+    /// [`SolverPool::collect`]; in sink mode, responses arrive through
+    /// the callback.
     ///
     /// With overload control on, requests that would push a worker's
     /// queue past its depth are shed here: they are answered immediately
@@ -272,49 +269,51 @@ impl SolverPool {
     /// sink as every other response — a shed request still counts as
     /// pending and still reaches [`SolverPool::collect`]) and never reach
     /// the worker. A shed `New`/`Delta` additionally poisons its stream
-    /// at the shed slot's FIFO position.
+    /// at the shed request's FIFO position.
     ///
     /// [`RequestOutcome::Overloaded`]: vmplace_model::RequestOutcome::Overloaded
     pub fn submit(&mut self, requests: Vec<AllocRequest>) {
-        for batch in self.dispatcher.batch(requests) {
-            let w = batch.worker;
-            // Requests admitted so far from this batch, not yet sent:
-            // kept aside so a shed mid-batch can flush them first and
-            // keep per-stream FIFO order exact.
-            let mut run: Vec<AllocRequest> = Vec::new();
-            for request in batch.requests {
-                self.pending += 1;
-                let admit = match self.queue_depth {
-                    Some(depth) => self.gauges[w].depth.load(Ordering::SeqCst) + run.len() < depth,
-                    None => true,
-                };
-                if admit {
-                    run.push(request);
-                    continue;
-                }
-                send_run(&self.senders[w], &self.gauges[w], &mut run);
-                self.shed += 1;
-                if let Some(m) = &self.metrics {
-                    m.shed.inc();
-                }
-                if matches!(request.kind, RequestKind::New(_) | RequestKind::Delta(_)) {
-                    // The client's view of the stream now diverges from
-                    // the server's: poison it in the shed slot's place.
-                    self.senders[w]
-                        .send(WorkerMsg::Discard {
-                            stream: request.stream,
-                        })
-                        .expect("worker thread alive while pool exists");
-                }
-                let response = AllocResponse::overloaded(
-                    request.id,
-                    request.stream,
-                    self.gauges[w].retry_hint(),
-                );
-                self.completion.deliver(response);
+        for request in requests {
+            let w = self.worker_of(request.stream);
+            let (sender, gauge) = (&self.senders[w], &self.gauges[w]);
+            self.pending += 1;
+            let admit = self
+                .queue_depth
+                .map_or(true, |depth| gauge.depth.load(Ordering::SeqCst) < depth);
+            if admit {
+                // Bump the gauge before sending, so concurrent admission
+                // checks see the backlog immediately.
+                gauge.depth.fetch_add(1, Ordering::SeqCst);
+                sender
+                    .send(WorkerMsg::Request {
+                        request,
+                        enqueued: Instant::now(),
+                    })
+                    .expect("worker thread alive while pool exists");
+                continue;
             }
-            send_run(&self.senders[w], &self.gauges[w], &mut run);
+            self.shed += 1;
+            if let Some(m) = &self.metrics {
+                m.shed.inc();
+            }
+            if matches!(request.kind, RequestKind::New(_) | RequestKind::Delta(_)) {
+                // The client's view of the stream now diverges from the
+                // server's: poison it in the shed request's place.
+                sender
+                    .send(WorkerMsg::Discard {
+                        stream: request.stream,
+                    })
+                    .expect("worker thread alive while pool exists");
+            }
+            let response =
+                AllocResponse::overloaded(request.id, request.stream, gauge.retry_hint());
+            self.completion.deliver(response);
         }
+    }
+
+    /// The worker a stream is pinned to.
+    fn worker_of(&self, stream: u64) -> usize {
+        (stream % self.senders.len() as u64) as usize
     }
 
     /// Requests shed at admission since the pool started (dequeue-time
@@ -407,21 +406,6 @@ impl Drop for SolverPool {
     }
 }
 
-/// Flushes an admitted run to its worker (bumping the queue gauge first,
-/// so concurrent admission checks see the backlog immediately).
-fn send_run(sender: &Sender<WorkerMsg>, gauge: &Gauge, run: &mut Vec<AllocRequest>) {
-    if run.is_empty() {
-        return;
-    }
-    gauge.depth.fetch_add(run.len(), Ordering::SeqCst);
-    sender
-        .send(WorkerMsg::Batch {
-            requests: std::mem::take(run),
-            enqueued: Instant::now(),
-        })
-        .expect("worker thread alive while pool exists");
-}
-
 /// One worker thread's supervised solve loop (see the module docs:
 /// panics answer `Failed` and respawn the worker in place; expired
 /// budgets shed at dequeue when configured).
@@ -436,69 +420,65 @@ fn supervised_loop(
     let metrics = ServiceMetrics::from_config(config);
     while let Ok(msg) = rx.recv() {
         match msg {
-            WorkerMsg::Batch { requests, enqueued } => {
-                for request in requests {
-                    let (id, stream) = (request.id, request.stream);
+            WorkerMsg::Request { request, enqueued } => {
+                let (id, stream) = (request.id, request.stream);
+                if let Some(m) = &metrics {
+                    // Queue wait: admission to the moment the worker
+                    // picks the request up.
+                    m.queue_wait.record(enqueued.elapsed());
+                }
+                let mutates = matches!(request.kind, RequestKind::New(_) | RequestKind::Delta(_));
+                let expired = shed_expired
+                    && request
+                        .budget
+                        .or(config.default_budget)
+                        .is_some_and(|b| enqueued.elapsed() >= b);
+                let response = if expired {
+                    // The budget burned away in the queue: shedding
+                    // now costs nothing; solving would cost a full
+                    // solve for an answer the client stopped waiting
+                    // for. A shed mutation poisons the stream, same
+                    // as at admission.
+                    if mutates {
+                        worker.discard_stream(stream);
+                    }
                     if let Some(m) = &metrics {
-                        // Queue wait of this request: admission to the
-                        // moment the worker picks it up (later requests
-                        // of one batch waited behind the earlier ones).
-                        m.queue_wait.record(enqueued.elapsed());
+                        m.shed.inc();
                     }
-                    let mutates =
-                        matches!(request.kind, RequestKind::New(_) | RequestKind::Delta(_));
-                    let expired = shed_expired
-                        && request
-                            .budget
-                            .or(config.default_budget)
-                            .is_some_and(|b| enqueued.elapsed() >= b);
-                    let response = if expired {
-                        // The budget burned away in the queue: shedding
-                        // now costs nothing; solving would cost a full
-                        // solve for an answer the client stopped waiting
-                        // for. A shed mutation poisons the stream, same
-                        // as at admission.
-                        if mutates {
-                            worker.discard_stream(stream);
+                    AllocResponse::overloaded(id, stream, gauge.retry_hint())
+                } else {
+                    // `AssertUnwindSafe` is justified by the recovery
+                    // discipline: everything a panic can leave
+                    // half-written (the in-flight stream's state, the
+                    // engine's solve scratch) is discarded or rebuilt
+                    // by `recover_from_panic` before the worker is
+                    // used again.
+                    match catch_unwind(AssertUnwindSafe(|| worker.process(request))) {
+                        Ok(response) => {
+                            gauge.note_service(response.wall);
+                            response
                         }
-                        if let Some(m) = &metrics {
-                            m.shed.inc();
-                        }
-                        AllocResponse::overloaded(id, stream, gauge.retry_hint())
-                    } else {
-                        // `AssertUnwindSafe` is justified by the recovery
-                        // discipline: everything a panic can leave
-                        // half-written (the in-flight stream's state, the
-                        // engine's solve scratch) is discarded or rebuilt
-                        // by `recover_from_panic` before the worker is
-                        // used again.
-                        match catch_unwind(AssertUnwindSafe(|| worker.process(request))) {
-                            Ok(response) => {
-                                gauge.note_service(response.wall);
-                                response
+                        Err(_) => {
+                            worker.recover_from_panic(stream);
+                            if let Some(m) = &metrics {
+                                m.panics.inc();
                             }
-                            Err(_) => {
-                                worker.recover_from_panic(stream);
-                                if let Some(m) = &metrics {
-                                    m.panics.inc();
-                                }
-                                AllocResponse::failed(
-                                    id,
-                                    stream,
-                                    format!(
-                                        "worker panicked while solving request {id}; \
-                                         stream state discarded"
-                                    ),
-                                )
-                            }
+                            AllocResponse::failed(
+                                id,
+                                stream,
+                                format!(
+                                    "worker panicked while solving request {id}; \
+                                     stream state discarded"
+                                ),
+                            )
                         }
-                    };
-                    gauge.depth.fetch_sub(1, Ordering::SeqCst);
-                    // A closed result channel means the pool is gone;
-                    // finish quietly.
-                    if !completion.deliver(response) {
-                        return;
                     }
+                };
+                gauge.depth.fetch_sub(1, Ordering::SeqCst);
+                // A closed result channel means the pool is gone;
+                // finish quietly.
+                if !completion.deliver(response) {
+                    return;
                 }
             }
             WorkerMsg::Discard { stream } => worker.discard_stream(stream),
@@ -674,6 +654,55 @@ mod tests {
         }]);
         let after = pool.collect();
         assert_eq!(after[0].outcome, RequestOutcome::Rejected);
+    }
+
+    #[test]
+    fn affinity_is_stable_modulo_workers() {
+        let pool = SolverPool::new(&ServiceConfig {
+            workers: 3,
+            ..ServiceConfig::default()
+        });
+        for stream in 0..20u64 {
+            assert_eq!(pool.worker_of(stream), (stream % 3) as usize);
+        }
+        // Degenerate worker counts clamp to 1.
+        let one = SolverPool::new(&ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        });
+        assert_eq!(one.worker_of(17), 0);
+    }
+
+    #[test]
+    fn order_within_stream_is_preserved() {
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        let mut pool = SolverPool::with_sink(
+            &ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+            Arc::new(move |r| seen2.lock().unwrap().push(r.id)),
+        );
+        pool.submit(
+            (0..30u64)
+                .map(|id| {
+                    let kind = if id < 4 {
+                        RequestKind::New(instance(id))
+                    } else {
+                        RequestKind::Resolve
+                    };
+                    req(id, id % 4, kind)
+                })
+                .collect(),
+        );
+        pool.shutdown();
+        let ids = seen.lock().unwrap();
+        assert_eq!(ids.len(), 30);
+        for stream in 0..4u64 {
+            let per: Vec<u64> = ids.iter().copied().filter(|i| i % 4 == stream).collect();
+            assert!(per.windows(2).all(|w| w[0] < w[1]), "{per:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * **correctness** — the differential suite pins pooled replays to this
 //!   path bit-for-bit (same yields, placements, winners and outcomes on
 //!   unbudgeted traces), which simultaneously validates stream sharding,
-//!   batching, delta application and warm seeding;
+//!   the worker's per-stream record and its forget point, delta
+//!   application and warm seeding;
 //! * **measurement** — it is the cold baseline the service bench
 //!   amortises against (`BENCH_service.json`).
 
@@ -28,8 +29,6 @@ use vmplace_model::{
 
 struct StreamChain {
     instance: ProblemInstance,
-    version: u64,
-    last_yield: Option<f64>,
     last_solution: Option<Solution>,
 }
 
@@ -64,19 +63,16 @@ pub fn replay_oneshot(trace: Vec<AllocRequest>, config: &ServiceConfig) -> Vec<A
         // Mirror of the pooled worker: capture the previous placement —
         // remapped across the delta — before the chain moves on.
         let mut repair_base: Option<Placement> = None;
-        let (hint, resolve) = match kind {
+        let resolve = match kind {
             RequestKind::New(instance) => {
-                let version = streams.get(&stream).map_or(0, |c| c.version + 1);
                 streams.insert(
                     stream,
                     StreamChain {
                         instance,
-                        version,
-                        last_yield: None,
                         last_solution: None,
                     },
                 );
-                (None, false)
+                false
             }
             RequestKind::Delta(delta) => {
                 let Some(chain) = streams.get_mut(&stream) else {
@@ -98,16 +94,13 @@ pub fn replay_oneshot(trace: Vec<AllocRequest>, config: &ServiceConfig) -> Vec<A
                     .apply_delta(&delta)
                     .and_then(|next| next.with_services(next.services().to_vec()))
                 {
-                    Ok(next) => {
-                        chain.instance = next;
-                        chain.version += 1;
-                    }
+                    Ok(next) => chain.instance = next,
                     Err(e) => {
                         responses.push(AllocResponse::rejected(id, stream, e.to_string()));
                         continue;
                     }
                 }
-                (chain.last_yield, false)
+                false
             }
             RequestKind::Resolve => {
                 let Some(chain) = streams.get(&stream) else {
@@ -121,13 +114,17 @@ pub fn replay_oneshot(trace: Vec<AllocRequest>, config: &ServiceConfig) -> Vec<A
                 if !policy.is_exact() {
                     repair_base = chain.repair_base().cloned();
                 }
-                (chain.last_yield, true)
+                true
             }
         };
 
-        let hint = if config.warm_start { hint } else { None };
         let budget = budget.or(config.default_budget);
         let chain = streams.get_mut(&stream).expect("chain exists");
+        let hint = chain
+            .last_solution
+            .as_ref()
+            .map(|s| s.min_yield)
+            .filter(|_| config.warm_start);
 
         // The one-shot cost: everything is rebuilt for this one request.
         // The repair dispatch is byte-identical to the pooled worker's —
@@ -155,14 +152,13 @@ pub fn replay_oneshot(trace: Vec<AllocRequest>, config: &ServiceConfig) -> Vec<A
                 // The one-shot reference is never instrumented: it is the
                 // baseline the instrumented paths are differenced against.
                 let (solution, winner, probes, timed_out) =
-                    engine.solve(&chain.instance, stream, chain.version, hint, budget, None);
+                    engine.solve(&chain.instance, stream, hint, budget, None);
                 (solution, winner, probes, timed_out, None)
             }
         };
         let wall = t0.elapsed();
 
         if let Some(sol) = &solution {
-            chain.last_yield = Some(sol.min_yield);
             chain.last_solution = Some(sol.clone());
         }
         let outcome = match (&solution, timed_out) {

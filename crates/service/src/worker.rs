@@ -1,10 +1,9 @@
 //! A resident solver worker: per-stream state plus long-lived engines.
 
-use crate::cache::ResponseCache;
 use crate::fault::FaultPlan;
 use crate::metrics::ServiceMetrics;
 use crate::repair::{try_repair, Repair};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vmplace_core::{Algorithm, EngineHandle, MetaGreedy, MetaVp, RandomizedRounding, SolveCtx};
@@ -88,10 +87,10 @@ pub struct ServiceConfig {
     /// counts only; results are unaffected).
     pub ordered_roster: bool,
     /// Answer identical re-solves (`Resolve` on an unchanged instance,
-    /// same budget class, same warm hint) from the per-worker
-    /// [`ResponseCache`] instead of re-solving. Cached responses are
-    /// bit-for-bit equal to the uncached path and carry
-    /// `AllocResponse::cached = true`.
+    /// same budget class, same warm hint) from the stream's stored answer
+    /// instead of re-solving (see the crate docs, "Response cache").
+    /// Cached responses are bit-for-bit equal to the uncached path and
+    /// carry `AllocResponse::cached = true`.
     pub response_cache: bool,
     /// Overload control (`None` = unbounded queues, admit everything —
     /// the behaviour of every release before this field existed).
@@ -178,23 +177,41 @@ impl ServiceConfig {
     }
 }
 
-/// Per-stream warm state.
+/// One stream's record in its worker.
+enum Slot {
+    /// The stream is open.
+    Live(Box<StreamState>),
+    /// The stream's state was discarded (panic recovery, or a shed
+    /// mutating request): it answers `stale-stream` until the client
+    /// re-opens it with `New`.
+    Stale,
+}
+
+/// Everything a worker keeps about one open stream.
 struct StreamState {
     instance: ProblemInstance,
-    /// Monotone instance version (bumped by `New` and every applied
-    /// delta); keys the worker's MILP cache.
-    version: u64,
-    /// Achieved minimum yield of the stream's last successful solve.
-    last_yield: Option<f64>,
-    /// Full solution of the stream's last solve that produced one — the
-    /// placement the repair path keeps and patches.
+    /// Full solution of the stream's last solve that produced one: its
+    /// minimum yield seeds the next solve's binary searches, and its
+    /// placement is what the repair path keeps and patches.
     last_solution: Option<Solution>,
+    /// The stream's latest stored `Resolve` answer and the key it was
+    /// computed under (see the crate docs, "Response cache"). Dropped by
+    /// [`Worker::forget`] on every mutation of the stream.
+    answer: Option<(AnswerKey, AllocResponse)>,
 }
 
 impl StreamState {
+    fn new(instance: ProblemInstance) -> StreamState {
+        StreamState {
+            instance,
+            last_solution: None,
+            answer: None,
+        }
+    }
+
     /// The stream's current placement, when it is a usable repair base:
     /// complete and sized for the *current* instance (a timed-out solve
-    /// that returned nothing can leave `last_solution` one version
+    /// that returned nothing can leave `last_solution` one mutation
     /// behind — never repair from that).
     fn repair_base(&self) -> Option<&Placement> {
         self.last_solution
@@ -202,15 +219,80 @@ impl StreamState {
             .map(|s| &s.placement)
             .filter(|p| p.len() == self.instance.num_services() && p.is_complete())
     }
+
+    /// The stored answer re-addressed to `id` and marked `cached`, when it
+    /// was computed under `key`.
+    fn cached_answer(&self, id: u64, key: &AnswerKey) -> Option<AllocResponse> {
+        match &self.answer {
+            Some((stored, response)) if stored == key => Some(AllocResponse {
+                id,
+                cached: true,
+                wall: Duration::ZERO,
+                ..response.clone()
+            }),
+            _ => None,
+        }
+    }
+
+    /// Stores a freshly solved answer under `key`, replacing the previous
+    /// one. Timed-out answers are a wall-clock race, not a function of
+    /// the request, and the retryable outcomes are transient verdicts
+    /// about the *service* (a panic, a shed, a poisoned stream): replaying
+    /// one would repeat it after the condition cleared. Neither is stored.
+    fn store_answer(&mut self, key: AnswerKey, response: &AllocResponse) {
+        if response.outcome != RequestOutcome::TimedOut && !response.outcome.is_retryable() {
+            self.answer = Some((key, response.clone()));
+        }
+    }
+}
+
+/// What a stored answer was computed under. A `Resolve` is answered from
+/// the stream's stored answer only when its own key is equal, with float
+/// fields compared bit for bit.
+#[derive(Debug, PartialEq)]
+struct AnswerKey {
+    /// Effective wall-clock budget class, in microseconds (`None` =
+    /// unbudgeted).
+    budget_us: Option<u128>,
+    /// Bits of the warm hint the solve consumed (`None` = no hint).
+    hint_bits: Option<u64>,
+    /// `None` for `Exact`; `(tolerance bits, max_migrations)` for
+    /// `Repaired`.
+    repaired: Option<(u64, usize)>,
+    /// The placement a `Repaired` answer repaired from (`None` for
+    /// `Exact`).
+    base: Option<Placement>,
+}
+
+impl AnswerKey {
+    fn new(
+        budget: Option<Duration>,
+        hint: Option<f64>,
+        policy: ResponsePolicy,
+        base: Option<&Placement>,
+    ) -> AnswerKey {
+        let (repaired, base) = match policy {
+            ResponsePolicy::Exact => (None, None),
+            ResponsePolicy::Repaired {
+                tolerance,
+                max_migrations,
+            } => (Some((tolerance.to_bits(), max_migrations)), base.cloned()),
+        };
+        AnswerKey {
+            budget_us: budget.map(|b| b.as_micros()),
+            hint_bits: hint.map(f64::to_bits),
+            repaired,
+            base,
+        }
+    }
 }
 
 /// The exact path's persistent state: the built model and its warm
-/// simplex, valid for one `(stream, version)` pair. Consecutive re-solves
-/// of an unchanged instance (the batched `Resolve` case) skip both the
-/// model build and the solver assembly.
+/// simplex for one stream's current instance ([`Worker::forget`] drops it
+/// when that stream changes). Consecutive re-solves of an unchanged
+/// instance skip both the model build and the solver assembly.
 pub(crate) struct MilpCache {
     stream: u64,
-    version: u64,
     ylp: YieldLp,
     solver: MilpSolver,
 }
@@ -259,13 +341,12 @@ impl WorkerEngine {
     }
 
     /// One solve: `(solution, winner label, probes, timed out)`. `stream`
-    /// and `version` key the exact path's model cache (and seed the RRNZ
-    /// trial RNG deterministically per stream).
+    /// keys the exact path's model (and seeds the RRNZ trial RNG
+    /// deterministically per stream).
     pub(crate) fn solve(
         &mut self,
         instance: &ProblemInstance,
         stream: u64,
-        version: u64,
         hint: Option<f64>,
         budget: Option<Duration>,
         metrics: Option<&ServiceMetrics>,
@@ -303,26 +384,24 @@ impl WorkerEngine {
                 (solution, winner, probes, timed_out)
             }
             WorkerEngine::Milp { options, cache } => {
-                solve_milp_cached(options, cache, stream, version, instance, budget, metrics)
+                solve_milp_cached(options, cache, stream, instance, budget, metrics)
             }
         }
     }
 }
 
 /// A resident solver worker: owns one long-lived engine (roster, packing
-/// workspaces, persistent simplex) and the warm state of every stream
-/// routed to it. Drive it directly for a single-threaded service, or
-/// through [`crate::SolverPool`] for a resident thread per worker.
+/// workspaces, persistent simplex) and one record per stream routed to
+/// it. Drive it directly for a single-threaded service, or through
+/// [`crate::SolverPool`] for a resident thread per worker.
 pub struct Worker {
     config: ServiceConfig,
     engine: WorkerEngine,
-    streams: HashMap<u64, StreamState>,
-    /// Response cache for identical re-solves (`None` when disabled).
-    cache: Option<ResponseCache>,
-    /// Streams whose state was discarded by panic recovery or by
-    /// shedding a mutating request: they answer `stale-stream` until the
-    /// client re-opens them with `New`.
-    discarded: HashSet<u64>,
+    streams: HashMap<u64, Slot>,
+    /// Response-cache lookups answered from a stored answer.
+    cache_hits: u64,
+    /// Response-cache lookups that fell through to a real solve.
+    cache_misses: u64,
     /// Metric handles into [`ServiceConfig::metrics`] (`None` when
     /// uninstrumented). Recording never affects a response.
     metrics: Option<ServiceMetrics>,
@@ -335,8 +414,8 @@ impl Worker {
             config: config.clone(),
             engine: WorkerEngine::build(config),
             streams: HashMap::new(),
-            cache: config.response_cache.then(ResponseCache::new),
-            discarded: HashSet::new(),
+            cache_hits: 0,
+            cache_misses: 0,
             metrics: ServiceMetrics::from_config(config),
         }
     }
@@ -364,113 +443,92 @@ impl Worker {
             }
         }
 
-        // A discarded stream answers `stale-stream` until the client
-        // re-opens it: the server-side state no longer matches the
-        // client's view, and silently solving against it would return
-        // confidently wrong answers. `New` replaces state wholesale, so
-        // it (and only it) clears the marker.
-        if self.discarded.contains(&stream) {
-            if matches!(kind, RequestKind::New(_)) {
-                self.discarded.remove(&stream);
-            } else {
+        // Update the stream state first; solve against the updated
+        // instance. For the repaired policy, capture the previous
+        // placement — remapped across the delta — *before* the stream
+        // state moves on.
+        let mut repair_base: Option<Placement> = None;
+        let resolve = match (kind, self.streams.get_mut(&stream)) {
+            (RequestKind::New(instance), _) => {
+                // `New` replaces the record wholesale, so it (and only it)
+                // re-opens a stale stream.
+                self.forget(stream);
+                self.streams
+                    .insert(stream, Slot::Live(Box::new(StreamState::new(instance))));
+                false
+            }
+            // A stale stream answers `stale-stream` until the client
+            // re-opens it: the server-side state no longer matches the
+            // client's view, and silently solving against it would
+            // return confidently wrong answers.
+            (_, Some(Slot::Stale)) => {
                 if let Some(m) = &self.metrics {
                     m.stale.inc();
                 }
                 return AllocResponse::stale_stream(id, stream);
             }
-        }
-
-        // Update the stream state (and pick the warm hint) first; solve
-        // against the updated instance. For the repaired policy, capture
-        // the previous placement — remapped across the delta — *before*
-        // the stream state moves on.
-        let mut repair_base: Option<Placement> = None;
-        let (hint, resolve) = match kind {
-            RequestKind::New(instance) => {
-                self.streams.insert(
-                    stream,
-                    StreamState {
-                        instance,
-                        version: next_version(&self.streams, stream),
-                        last_yield: None,
-                        last_solution: None,
-                    },
-                );
-                if let Some(cache) = &mut self.cache {
-                    cache.invalidate(stream);
-                }
-                (None, false)
+            (RequestKind::Delta(_), None) => {
+                return AllocResponse::rejected(id, stream, "delta before New".into());
             }
-            RequestKind::Delta(delta) => {
-                let Some(state) = self.streams.get_mut(&stream) else {
-                    return AllocResponse::rejected(id, stream, "delta before New".into());
-                };
+            (RequestKind::Resolve, None) => {
+                return AllocResponse::rejected(id, stream, "resolve before New".into());
+            }
+            (RequestKind::Delta(delta), Some(Slot::Live(state))) => {
                 if !policy.is_exact() {
                     repair_base = state.repair_base().map(|p| delta.remap_placement(p));
                 }
                 match state.instance.apply_delta(&delta) {
-                    Ok(next) => {
-                        state.instance = next;
-                        state.version += 1;
-                        if let Some(cache) = &mut self.cache {
-                            cache.invalidate(stream);
-                        }
-                    }
+                    Ok(next) => state.instance = next,
                     Err(e) => return AllocResponse::rejected(id, stream, e.to_string()),
                 }
-                (state.last_yield, false)
+                self.forget(stream);
+                false
             }
-            RequestKind::Resolve => {
-                let Some(state) = self.streams.get(&stream) else {
-                    return AllocResponse::rejected(id, stream, "resolve before New".into());
-                };
+            (RequestKind::Resolve, Some(Slot::Live(state))) => {
                 if !policy.is_exact() {
                     repair_base = state.repair_base().cloned();
                 }
-                (state.last_yield, true)
+                true
             }
         };
 
-        let hint = if self.config.warm_start { hint } else { None };
-        let budget = budget.or(self.config.default_budget);
-        // The cache keys on the hint the engine will actually consume:
+        let Some(Slot::Live(state)) = self.streams.get_mut(&stream) else {
+            unreachable!("the stream was just opened or found live");
+        };
+        // The answer key takes the hint the engine will actually consume:
         // hintless engines (greedy, RRNZ, MILP) cache independently of
         // the stream's warm state.
-        let hint = if self.engine.uses_hint() { hint } else { None };
-        let state = self.streams.get_mut(&stream).expect("state exists");
+        let hint = state
+            .last_solution
+            .as_ref()
+            .map(|s| s.min_yield)
+            .filter(|_| self.config.warm_start && self.engine.uses_hint());
+        let budget = budget.or(self.config.default_budget);
+        let key = (resolve && self.config.response_cache)
+            .then(|| AnswerKey::new(budget, hint, policy, repair_base.as_ref()));
 
-        if resolve {
-            if let Some(cache) = &mut self.cache {
-                let lookup_span = self.metrics.as_ref().map(|m| Span::start(&m.cache_lookup));
-                let hit = cache.lookup(
-                    id,
-                    stream,
-                    state.version,
-                    budget,
-                    hint,
-                    policy,
-                    repair_base.as_ref(),
-                );
-                drop(lookup_span);
-                if let Some(m) = &self.metrics {
-                    if hit.is_some() {
-                        m.cache_hits.inc();
-                    } else {
-                        m.cache_misses.inc();
-                    }
-                }
-                if let Some(hit) = hit {
-                    // Replicate the skipped solve's only side effects: the
-                    // stream's warm yield and placement (numerically a
-                    // no-op — the stored solve already set them to these
-                    // values — kept explicit so the invariant is local).
-                    if let Some(sol) = &hit.solution {
-                        state.last_yield = Some(sol.min_yield);
-                        state.last_solution = Some(sol.clone());
-                    }
-                    return hit;
+        if let Some(key) = &key {
+            let lookup_span = self.metrics.as_ref().map(|m| Span::start(&m.cache_lookup));
+            let hit = state.cached_answer(id, key);
+            drop(lookup_span);
+            if let Some(m) = &self.metrics {
+                if hit.is_some() {
+                    m.cache_hits.inc();
+                } else {
+                    m.cache_misses.inc();
                 }
             }
+            if let Some(hit) = hit {
+                self.cache_hits += 1;
+                // Replicate the skipped solve's only side effect: the
+                // stream's last solution. An uncached solve in between
+                // (a timed-out resolve, say) may have moved it.
+                if let Some(sol) = &hit.solution {
+                    state.last_solution = Some(sol.clone());
+                }
+                return hit;
+            }
+            self.cache_misses += 1;
         }
 
         let t0 = Instant::now();
@@ -496,14 +554,9 @@ impl Worker {
                 Some(r.migrations),
             ),
             None => {
-                let (solution, winner, probes, timed_out) = self.engine.solve(
-                    &state.instance,
-                    stream,
-                    state.version,
-                    hint,
-                    budget,
-                    self.metrics.as_ref(),
-                );
+                let (solution, winner, probes, timed_out) =
+                    self.engine
+                        .solve(&state.instance, stream, hint, budget, self.metrics.as_ref());
                 (solution, winner, probes, timed_out, None)
             }
         };
@@ -526,7 +579,6 @@ impl Worker {
         }
 
         if let Some(sol) = &solution {
-            state.last_yield = Some(sol.min_yield);
             state.last_solution = Some(sol.clone());
         }
         let outcome = match (&solution, timed_out) {
@@ -547,50 +599,51 @@ impl Worker {
             migrations,
             retry_after: None,
         };
-        if resolve {
-            if let Some(cache) = &mut self.cache {
-                cache.store(
-                    stream,
-                    state.version,
-                    budget,
-                    hint,
-                    policy,
-                    repair_base.as_ref(),
-                    &response,
-                );
-            }
+        if let Some(key) = key {
+            state.store_answer(key, &response);
         }
         response
     }
 
-    /// Number of streams this worker currently tracks.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Discards one stream's state — instance, warm yields, response- and
-    /// model-cache entries — and marks it stale: follow-up requests
-    /// answer `stale-stream` until the client re-sends `New`. Called when
-    /// a *mutating* request (`New`/`Delta`) is shed under overload, so
-    /// the service never answers against state the client didn't build.
-    pub fn discard_stream(&mut self, stream: u64) {
-        self.streams.remove(&stream);
-        if let Some(cache) = &mut self.cache {
-            cache.invalidate(stream);
+    /// The one forget point: drops the stream's stored answer and, when
+    /// it belongs to this stream, the exact path's model. Every mutation
+    /// and removal of a stream (`New`, an applied delta, a discard, a
+    /// retirement, panic recovery) goes through here, so what is left
+    /// always belongs to the stream's current instance.
+    fn forget(&mut self, stream: u64) {
+        if let Some(Slot::Live(state)) = self.streams.get_mut(&stream) {
+            state.answer = None;
         }
         if let WorkerEngine::Milp { cache, .. } = &mut self.engine {
-            if matches!(cache, Some(c) if c.stream == stream) {
+            if cache.as_ref().is_some_and(|c| c.stream == stream) {
                 *cache = None;
             }
         }
-        self.discarded.insert(stream);
+    }
+
+    /// Number of streams this worker currently tracks.
+    pub fn stream_count(&self) -> usize {
+        self.streams
+            .values()
+            .filter(|s| matches!(s, Slot::Live(_)))
+            .count()
+    }
+
+    /// Discards one stream's state — instance, warm yields, stored answer
+    /// and model — and marks it stale: follow-up requests answer
+    /// `stale-stream` until the client re-sends `New`. Called when a
+    /// *mutating* request (`New`/`Delta`) is shed under overload, so the
+    /// service never answers against state the client didn't build.
+    pub fn discard_stream(&mut self, stream: u64) {
+        self.forget(stream);
+        self.streams.insert(stream, Slot::Stale);
     }
 
     /// Recovers this worker after a panic unwound out of
     /// [`Worker::process`]: the in-flight stream's state is discarded
     /// (the panic may have left it half-mutated) and the engine is
     /// rebuilt from scratch — a panic mid-solve can leave engine scratch
-    /// (packing workspaces, simplex state, the MILP model cache)
+    /// (packing workspaces, simplex state, the MILP model)
     /// inconsistent. Rebuilding is result-invariant for every *other*
     /// stream: engines are deterministic functions of (instance, hint,
     /// budget), and the per-stream warm state that seeds them is kept.
@@ -601,43 +654,33 @@ impl Worker {
 
     /// Streams currently marked stale (discarded but not yet re-opened).
     pub fn discarded_count(&self) -> usize {
-        self.discarded.len()
+        self.streams.len() - self.stream_count()
     }
 
-    /// Forgets every stream matching `stream & mask == prefix`: warm
-    /// state, cache entries and — if it belongs to such a stream — the
-    /// exact path's model cache. A long-lived front door calls this when
-    /// a client (whose streams share a namespace prefix) disconnects, so
-    /// worker memory tracks *live* streams instead of every stream ever
-    /// seen.
+    /// Forgets every stream matching `stream & mask == prefix`, live or
+    /// stale: a retired namespace's ids may be reused by a future
+    /// connection, which starts clean. A long-lived front door calls this
+    /// when a client (whose streams share a namespace prefix) disconnects,
+    /// so worker memory tracks *live* streams instead of every stream
+    /// ever seen.
     pub fn retire_streams(&mut self, prefix: u64, mask: u64) {
-        self.streams.retain(|s, _| s & mask != prefix);
-        // Retirement clears stale markers too: a retired namespace's ids
-        // may be reused by a future connection, which starts clean.
-        self.discarded.retain(|s| s & mask != prefix);
-        if let Some(cache) = &mut self.cache {
-            cache.retire(prefix, mask);
-        }
-        if let WorkerEngine::Milp { cache, .. } = &mut self.engine {
-            if matches!(cache, Some(c) if c.stream & mask == prefix) {
-                *cache = None;
-            }
+        let retired: Vec<u64> = self
+            .streams
+            .keys()
+            .copied()
+            .filter(|s| s & mask == prefix)
+            .collect();
+        for stream in retired {
+            self.forget(stream);
+            self.streams.remove(&stream);
         }
     }
 
     /// Response-cache `(hits, misses)` counters (zeros when the cache is
     /// disabled).
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache
-            .as_ref()
-            .map_or((0, 0), |c| (c.hits(), c.misses()))
+        (self.cache_hits, self.cache_misses)
     }
-}
-
-/// Version for a (re)opened stream: strictly above whatever came before so
-/// MILP caches of the replaced instance can never be mistaken for current.
-fn next_version(streams: &HashMap<u64, StreamState>, stream: u64) -> u64 {
-    streams.get(&stream).map_or(0, |s| s.version + 1)
 }
 
 /// The exact path: build (or reuse) the stream's `YieldLp` + persistent
@@ -646,31 +689,25 @@ fn solve_milp_cached(
     options: &MilpOptions,
     cache: &mut Option<Box<MilpCache>>,
     stream: u64,
-    version: u64,
     instance: &ProblemInstance,
     budget: Option<Duration>,
     metrics: Option<&ServiceMetrics>,
 ) -> (Option<Solution>, Option<String>, u64, bool) {
-    let fresh = !matches!(
-        cache,
-        Some(c) if c.stream == stream && c.version == version
-    );
-    if fresh {
+    if !cache.as_ref().is_some_and(|c| c.stream == stream) {
         let Some(ylp) = YieldLp::build(instance) else {
             // Some service fits on no node: trivially infeasible. The
-            // existing cache entry (another stream's still-valid model)
-            // is left untouched.
+            // model held (another stream's, still valid) is left
+            // untouched.
             return (None, None, 0, false);
         };
         let solver = ylp.exact_solver(options.clone());
         *cache = Some(Box::new(MilpCache {
             stream,
-            version,
             ylp,
             solver,
         }));
     }
-    let c = cache.as_mut().expect("cache just ensured");
+    let c = cache.as_mut().expect("model just ensured");
     c.solver.options_mut().time_budget = budget;
     let result = c.solver.solve();
     let timed_out = result.status == vmplace_lp::MilpStatus::TimedOut;
@@ -815,7 +852,8 @@ mod tests {
         let hit = worker.process(req(2, RequestKind::Resolve));
         assert!(hit.cached);
 
-        // A mutation bumps the version: the next resolve must re-solve.
+        // A mutation forgets the stored answer: the next resolve must
+        // re-solve.
         worker.process(req(
             3,
             RequestKind::Delta(WorkloadDelta {
@@ -1019,5 +1057,276 @@ mod tests {
         assert_eq!(b.outcome, RequestOutcome::Solved);
         assert_eq!(a.min_yield(), b.min_yield());
         assert_eq!(a.probes, b.probes, "resolve did not replay the same tree");
+    }
+
+    /// Which stream the exact path's model belongs to (`None`: no model,
+    /// or not the exact path).
+    fn milp_model_owner(worker: &Worker) -> Option<u64> {
+        match &worker.engine {
+            WorkerEngine::Milp { cache, .. } => cache.as_ref().map(|c| c.stream),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn the_forget_point_covers_every_mutation_and_nothing_else() {
+        for algo in [ServiceAlgo::MetaHvpLight, ServiceAlgo::Milp] {
+            let milp = algo == ServiceAlgo::Milp;
+            let mut worker = Worker::new(&ServiceConfig {
+                workers: 1,
+                algo,
+                ..ServiceConfig::default()
+            });
+            let mut next_id = 0;
+            let mut send = |worker: &mut Worker, stream: u64, kind: RequestKind| {
+                next_id += 1;
+                worker.process(AllocRequest {
+                    id: next_id,
+                    stream,
+                    kind,
+                    budget: None,
+                    policy: ResponsePolicy::default(),
+                })
+            };
+            let new = || RequestKind::New(small_instance());
+            let delta = |remove: Vec<usize>| {
+                RequestKind::Delta(WorkloadDelta {
+                    remove,
+                    scale_need: vec![(0, 0.9)],
+                    ..WorkloadDelta::default()
+                })
+            };
+            // Resolves until the stream's stored answer serves one.
+            let settle = |send: &mut dyn FnMut(&mut Worker, u64, RequestKind) -> AllocResponse,
+                          worker: &mut Worker,
+                          stream: u64| {
+                let hit = (0..4).any(|_| send(worker, stream, RequestKind::Resolve).cached);
+                assert!(hit, "{algo:?}: stream {stream} never settled");
+            };
+            let counts = |worker: &Worker| (worker.stream_count(), worker.discarded_count());
+
+            send(&mut worker, 1, new());
+            settle(&mut send, &mut worker, 1);
+            let opened = send(&mut worker, 0, new());
+            assert_eq!(counts(&worker), (2, 0), "{algo:?}");
+            let first = send(&mut worker, 0, RequestKind::Resolve);
+            assert!(!first.cached, "{algo:?}: a New leaves nothing to serve");
+            if milp {
+                assert_eq!(milp_model_owner(&worker), Some(0));
+                assert_eq!(first.probes, opened.probes, "the resolve reused the model");
+            }
+            settle(&mut send, &mut worker, 0);
+
+            // A rejected delta changes nothing: the stored answer serves.
+            let rejected = send(&mut worker, 0, delta(vec![99]));
+            assert_eq!(rejected.outcome, RequestOutcome::Rejected);
+            assert!(
+                send(&mut worker, 0, RequestKind::Resolve).cached,
+                "{algo:?}"
+            );
+            if milp {
+                assert_eq!(milp_model_owner(&worker), Some(0));
+            }
+
+            // An applied delta forgets the answer; its own solve builds the
+            // model the next resolve reuses.
+            let applied = send(&mut worker, 0, delta(vec![2]));
+            assert_eq!(applied.outcome, RequestOutcome::Solved);
+            let after = send(&mut worker, 0, RequestKind::Resolve);
+            assert!(!after.cached, "{algo:?}: answer served across a delta");
+            if milp {
+                assert_eq!(milp_model_owner(&worker), Some(0));
+                assert_eq!(after.probes, applied.probes, "the resolve reused the model");
+            }
+            settle(&mut send, &mut worker, 0);
+
+            // `New` on an open stream forgets: it answers what the first
+            // `New` of this instance answered, not from the delta's model.
+            let reopened = send(&mut worker, 0, new());
+            assert_eq!(reopened.min_yield(), opened.min_yield(), "{algo:?}");
+            assert_eq!(reopened.probes, opened.probes, "{algo:?}");
+            assert!(
+                !send(&mut worker, 0, RequestKind::Resolve).cached,
+                "{algo:?}"
+            );
+            settle(&mut send, &mut worker, 0);
+
+            // A discard forgets and marks the stream stale until `New`.
+            worker.discard_stream(0);
+            assert_eq!(counts(&worker), (1, 1), "{algo:?}");
+            assert_eq!(milp_model_owner(&worker), None);
+            let stale = send(&mut worker, 0, RequestKind::Resolve);
+            assert_eq!(stale.outcome, RequestOutcome::StaleStream);
+            assert!(!stale.cached);
+            send(&mut worker, 0, new());
+            assert_eq!(counts(&worker), (2, 0), "{algo:?}");
+            assert!(
+                !send(&mut worker, 0, RequestKind::Resolve).cached,
+                "{algo:?}"
+            );
+            settle(&mut send, &mut worker, 0);
+
+            // A retirement forgets its namespace only.
+            worker.retire_streams(0, u64::MAX);
+            assert_eq!(counts(&worker), (1, 0), "{algo:?}");
+            assert_eq!(milp_model_owner(&worker), None);
+            let gone = send(&mut worker, 0, RequestKind::Resolve);
+            assert_eq!(gone.outcome, RequestOutcome::Rejected);
+
+            // Panic recovery forgets the in-flight stream only.
+            send(&mut worker, 0, new());
+            settle(&mut send, &mut worker, 0);
+            worker.recover_from_panic(0);
+            assert_eq!(counts(&worker), (1, 1), "{algo:?}");
+            assert_eq!(milp_model_owner(&worker), None);
+            let stale = send(&mut worker, 0, RequestKind::Resolve);
+            assert_eq!(stale.outcome, RequestOutcome::StaleStream);
+
+            // Through all of it, stream 1 kept its stored answer.
+            assert!(
+                send(&mut worker, 1, RequestKind::Resolve).cached,
+                "{algo:?}"
+            );
+        }
+    }
+
+    fn response(id: u64, probes: u64) -> AllocResponse {
+        AllocResponse {
+            id,
+            stream: 3,
+            outcome: RequestOutcome::Infeasible,
+            solution: None,
+            winner: Some("W".into()),
+            probes,
+            wall: Duration::from_millis(7),
+            error: None,
+            cached: false,
+            migrations: None,
+            retry_after: None,
+        }
+    }
+
+    const EXACT: ResponsePolicy = ResponsePolicy::Exact;
+    const REPAIRED: ResponsePolicy = ResponsePolicy::Repaired {
+        tolerance: 0.05,
+        max_migrations: 4,
+    };
+
+    fn base() -> Placement {
+        Placement::from_assignment(vec![Some(0), Some(1)])
+    }
+
+    /// A stream record holding `response` stored under `key`.
+    fn stored(key: AnswerKey, response: AllocResponse) -> StreamState {
+        let mut state = StreamState::new(small_instance());
+        state.store_answer(key, &response);
+        state
+    }
+
+    #[test]
+    fn hit_requires_every_key_field() {
+        let budget = Some(Duration::from_millis(10));
+        let key = || AnswerKey::new(budget, Some(0.25), EXACT, None);
+        let state = stored(key(), response(0, 42));
+
+        let hit = state.cached_answer(9, &key()).expect("hit");
+        assert_eq!(hit.id, 9);
+        assert!(hit.cached);
+        assert_eq!(hit.probes, 42);
+        assert_eq!(hit.winner.as_deref(), Some("W"));
+        assert_eq!(hit.wall, Duration::ZERO);
+
+        // Any one field off → miss.
+        for other in [
+            AnswerKey::new(None, Some(0.25), EXACT, None),
+            AnswerKey::new(Some(Duration::from_millis(11)), Some(0.25), EXACT, None),
+            AnswerKey::new(budget, Some(0.25 + 1e-12), EXACT, None),
+            AnswerKey::new(budget, None, EXACT, None),
+            AnswerKey::new(budget, Some(0.25), REPAIRED, Some(&base())),
+        ] {
+            assert!(state.cached_answer(9, &other).is_none(), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn repaired_entry_never_answers_an_exact_request() {
+        let state = stored(
+            AnswerKey::new(None, None, REPAIRED, Some(&base())),
+            response(0, 7),
+        );
+        // The contract hole the policy key closes: a repaired answer
+        // satisfies a weaker contract and must not answer an exact request.
+        let exact = AnswerKey::new(None, None, EXACT, None);
+        assert!(state.cached_answer(9, &exact).is_none());
+        // The matching repaired request does hit.
+        let repaired = AnswerKey::new(None, None, REPAIRED, Some(&base()));
+        assert!(state.cached_answer(9, &repaired).is_some());
+    }
+
+    #[test]
+    fn exact_entry_never_answers_a_repaired_request() {
+        let state = stored(AnswerKey::new(None, None, EXACT, None), response(0, 7));
+        let repaired = AnswerKey::new(None, None, REPAIRED, Some(&base()));
+        assert!(state.cached_answer(9, &repaired).is_none());
+        let exact = AnswerKey::new(None, None, EXACT, None);
+        assert!(state.cached_answer(9, &exact).is_some());
+    }
+
+    #[test]
+    fn repaired_hit_requires_the_same_policy_and_base() {
+        let state = stored(
+            AnswerKey::new(None, None, REPAIRED, Some(&base())),
+            response(0, 7),
+        );
+        // Different tolerance, different migration budget, different base
+        // placement, or a missing base: all misses.
+        let looser = ResponsePolicy::Repaired {
+            tolerance: 0.06,
+            max_migrations: 4,
+        };
+        let roomier = ResponsePolicy::Repaired {
+            tolerance: 0.05,
+            max_migrations: 5,
+        };
+        let other_base = Placement::from_assignment(vec![Some(1), Some(0)]);
+        for other in [
+            AnswerKey::new(None, None, looser, Some(&base())),
+            AnswerKey::new(None, None, roomier, Some(&base())),
+            AnswerKey::new(None, None, REPAIRED, Some(&other_base)),
+            AnswerKey::new(None, None, REPAIRED, None),
+        ] {
+            assert!(state.cached_answer(9, &other).is_none(), "{other:?}");
+        }
+        let same = AnswerKey::new(None, None, REPAIRED, Some(&base()));
+        assert!(state.cached_answer(9, &same).is_some());
+    }
+
+    #[test]
+    fn timed_out_responses_are_not_stored() {
+        let key = || AnswerKey::new(None, None, EXACT, None);
+        let r = AllocResponse {
+            outcome: RequestOutcome::TimedOut,
+            ..response(0, 1)
+        };
+        assert!(stored(key(), r).cached_answer(1, &key()).is_none());
+    }
+
+    #[test]
+    fn failure_outcomes_are_not_stored() {
+        for outcome in [
+            RequestOutcome::Failed,
+            RequestOutcome::Overloaded,
+            RequestOutcome::StaleStream,
+        ] {
+            let key = || AnswerKey::new(None, None, EXACT, None);
+            let r = AllocResponse {
+                outcome,
+                ..response(0, 1)
+            };
+            assert!(
+                stored(key(), r).cached_answer(1, &key()).is_none(),
+                "{outcome:?} must not be stored"
+            );
+        }
     }
 }

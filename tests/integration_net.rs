@@ -199,6 +199,48 @@ fn shutdown_drains_in_flight_requests_and_is_idempotent() {
     }
 }
 
+/// A connect during a drain is greeted `draining`, never refused: client
+/// A holds the drain open by streaming pings, client B orders `shutdown`,
+/// and client C connects while A is still being served.
+#[test]
+fn connects_during_a_drain_are_greeted_draining() {
+    for wire in [1u32, PROTOCOL_V2] {
+        let server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
+        let addr = server.local_addr();
+        let waiter = std::thread::spawn(move || server.wait());
+
+        // A never goes quiet, so its intake stays open until the drain's
+        // grace runs out.
+        let mut a = Client::connect_with(addr, wire).expect("client A");
+        a.ping("first").expect("pong");
+        let pinger = std::thread::spawn(move || {
+            while a.ping("hold").is_ok() {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+
+        let b = Client::connect_with(addr, wire).expect("client B");
+        b.shutdown_server().expect("bye");
+
+        std::thread::sleep(Duration::from_millis(100));
+        let mut c = TcpStream::connect(addr)
+            .unwrap_or_else(|e| panic!("v{wire}: connect during the drain: {e}"));
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        c.write_all(format!("vmplace-net {wire}\n").as_bytes())
+            .unwrap();
+        let mut greeting = String::new();
+        c.read_to_string(&mut greeting).expect("greeting");
+        let words: Vec<&str> = greeting.split_whitespace().collect();
+        assert!(
+            matches!(words.as_slice(), ["vmplace-net", _, "draining"]),
+            "v{wire}: {greeting:?}"
+        );
+
+        pinger.join().expect("pinger");
+        waiter.join().expect("server drains and exits");
+    }
+}
+
 #[test]
 fn malformed_frames_get_structured_errors_never_hangs() {
     let mut server = Server::bind("127.0.0.1:0", &server_config(1, true)).expect("bind");
