@@ -4,7 +4,8 @@
 //! branch & bound bound-override replays.
 
 use vmplace::lp::{
-    LinearProgram, LpStatus, MilpOptions, RowSense, SimplexOptions, SimplexSolver, YieldLp,
+    LinearProgram, LpStatus, MilpOptions, MilpStatus, RowSense, SimplexOptions, SimplexSolver,
+    YieldLp,
 };
 use vmplace::prelude::*;
 
@@ -243,4 +244,42 @@ fn rounding_respects_relaxation_support() {
             }
         }
     }
+}
+
+#[test]
+fn milp_pivot_trajectory_is_pinned() {
+    // One fixed 4-host × 10-service MILP (cov 0.5, memory slack 0.6), on
+    // the first seed whose MILP solves within 20 000 nodes. Every count
+    // below follows from the exact pivot sequence of every node LP, so a
+    // change to pricing, ratio test or refactorisation that moves one pivot
+    // moves at least one of them.
+    let instance = |seed| {
+        Scenario::new(ScenarioConfig {
+            hosts: 4,
+            services: 10,
+            cov: 0.5,
+            memory_slack: 0.6,
+            ..ScenarioConfig::default()
+        })
+        .instance(seed)
+    };
+    let probe = MilpOptions {
+        max_nodes: 20_000,
+        ..MilpOptions::default()
+    };
+    let (seed, ylp) = (0..20u64)
+        .find_map(|seed| {
+            let ylp = YieldLp::build(&instance(seed))?;
+            ylp.solve_exact(&probe).map(|_| (seed, ylp))
+        })
+        .expect("a seed in 0..20 solves");
+    let r = ylp.solve_exact_result(&MilpOptions::default());
+    assert_eq!(seed, 0);
+    assert_eq!(r.status, MilpStatus::Optimal);
+    assert_eq!(r.nodes, 5103);
+    assert_eq!(r.simplex_iterations, 49200);
+    assert_eq!(r.factor.refactorisations, 978);
+    assert_eq!(r.factor.eta_folds, 977);
+    assert_eq!(r.factor.cols_reused, 3096);
+    assert_eq!(r.objective.map(f64::to_bits), Some(0x3fe5_2584_5c6b_f751));
 }
