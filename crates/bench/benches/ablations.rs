@@ -1,4 +1,4 @@
-//! Ablations of the design choices called out in `DESIGN.md` §7:
+//! Ablations of three design choices of the vector-packing algorithms:
 //!
 //! * **METAHVPLIGHT subset** (§5.1 of the paper): full 253-strategy roster
 //!   vs the 60-strategy subset on the same instance — the paper claims a

@@ -1,6 +1,6 @@
-//! Factorisation kernels: cold vs warm (partial-prefix) factorise, single
-//! vs batched right-hand sides, and dense vs sparse-RHS transpose solves —
-//! the per-node costs the warm partial refactorisation work targets.
+//! Factorisation kernels: cold vs warm (partial-prefix) factorise and
+//! dense vs sparse-RHS transpose solves — the per-node costs the warm
+//! partial refactorisation work targets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -9,7 +9,6 @@ use vmplace_lp::lu::{SolveScratch, SparseLu};
 const N: usize = 200;
 /// Off-diagonal entries per column (besides the dominant diagonal).
 const COL_NNZ: usize = 6;
-const BATCH: usize = 8;
 
 /// Deterministic sparse diagonally-dominant test matrix, stored densely for
 /// trivial column extraction.
@@ -71,46 +70,6 @@ fn bench_factorize(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rhs_batching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lu_rhs");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(5));
-    let a = test_matrix(N, 2);
-    let lu = SparseLu::factorize(N, column_of(&a)).unwrap();
-    let rhs: Vec<Vec<f64>> = (0..BATCH)
-        .map(|lane| (0..N).map(|i| ((i + lane) % 17) as f64 - 8.0).collect())
-        .collect();
-
-    group.bench_function(format!("solve_seq_x{BATCH}"), |bch| {
-        let mut b = vec![0.0; N];
-        let mut x = vec![0.0; N];
-        bch.iter(|| {
-            let mut acc = 0.0;
-            for lane in rhs.iter() {
-                b.copy_from_slice(lane);
-                lu.solve(&mut b, &mut x);
-                acc += x[0];
-            }
-            acc
-        })
-    });
-    group.bench_function(format!("solve_batch_x{BATCH}"), |bch| {
-        let mut b = vec![[0.0f64; BATCH]; N];
-        let mut x = vec![[0.0f64; BATCH]; N];
-        bch.iter(|| {
-            for (i, row) in b.iter_mut().enumerate() {
-                for (lane, slot) in row.iter_mut().enumerate() {
-                    *slot = rhs[lane][i];
-                }
-            }
-            lu.solve_batch(&mut b, &mut x);
-            x[0][0]
-        })
-    });
-    group.finish();
-}
-
 fn bench_btran(c: &mut Criterion) {
     let mut group = c.benchmark_group("lu_btran");
     group
@@ -162,5 +121,5 @@ fn bench_btran(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_factorize, bench_rhs_batching, bench_btran);
+criterion_group!(benches, bench_factorize, bench_btran);
 criterion_main!(benches);

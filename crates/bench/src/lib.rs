@@ -1,19 +1,28 @@
 //! Shared fixtures for the criterion benchmarks.
 //!
-//! The benches regenerate the paper's Table 2 (algorithm run times per
-//! service count) and ablate the design choices called out in `DESIGN.md`
-//! §7 (Permutation-Pack key mapping, METAHVPLIGHT subset, binary-search
-//! resolution, LP presolve).
+//! The regression harness in `benchmark/` (`vmbench` and its per-layer
+//! trace) times every workload end to end. The benches kept here each time
+//! something it does not:
+//!
+//! * `lp_simplex` — one fixed instance per shape, solved over and over
+//!   (relaxations, branch & bound, the presolved encoding), where
+//!   `batch_milp` draws a fresh instance for every op;
+//! * `lu` — the factorisation kernels in isolation: cold vs warm-prefix
+//!   refactorisation and dense vs sparse transpose solves;
+//! * `portfolio` — the engine against the pre-engine sequential fold
+//!   ([`seed_fold`]) and at 1 vs 8 threads, where `batch_portfolio` runs
+//!   one thread and no baseline;
+//! * `vp_heuristics` — single packing heuristics, cold pack vs
+//!   steady-state probe, outside any binary search;
+//! * `net` — the loopback server against the in-process pool it fronts,
+//!   and cached against uncached re-solves, side by side on one trace;
+//! * `ablations` — the METAHVPLIGHT subset, binary-search resolution and
+//!   Permutation-Pack window choices, none of which `vmbench` varies;
+//! * `waterfill` — the §6 work-conserving redistribution, which no
+//!   `vmbench` workload runs, beside the yield evaluator.
 
 use vmplace_model::ProblemInstance;
 use vmplace_sim::{Scenario, ScenarioConfig};
-
-// Bench JSON records effective parallelism next to the configured thread
-// count so a single-core container can no longer silently publish
-// `t8 ≈ t1` rows as if they demonstrated (absent) multicore scaling. The
-// detection itself lives in `vmplace_obs::host`, shared with the stats
-// examples and the live `stats` snapshot.
-pub use vmplace_obs::host::effective_parallelism;
 
 /// The paper's evaluation platform at a given service count: 64 hosts,
 /// cov 0.5, memory slack 0.5 — a representative mid-grid scenario.
@@ -78,8 +87,8 @@ pub fn feasible_seed(services: usize) -> u64 {
 /// The pre-engine sequential META* path, replicated for benchmarking: one
 /// binary search whose probe rebuilds the yield-scaled item tables and
 /// tries each roster member with a fresh scratch (the per-probe
-/// allocation profile of the seed code). Shared by the `portfolio` bench
-/// and the `portfolio_stats` example so both measure the same baseline.
+/// allocation profile of the seed code), the `portfolio` bench's
+/// baseline.
 pub fn seed_fold(meta: &vmplace_core::MetaVp, instance: &ProblemInstance) -> Option<f64> {
     use vmplace_core::vp::{VpProblem, DEFAULT_RESOLUTION};
     use vmplace_model::{evaluate_placement, Placement};
@@ -106,24 +115,4 @@ pub fn seed_fold(meta: &vmplace_core::MetaVp, instance: &ProblemInstance) -> Opt
         }
     }
     evaluate_placement(instance, &best).map(|s| s.min_yield)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn effective_parallelism_is_reexported_and_sane() {
-        // The re-export from `vmplace_obs::host` must behave like the
-        // local helper it replaced.
-        let eff = effective_parallelism();
-        let advertised = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert!(eff >= 1);
-        assert!(
-            eff <= advertised,
-            "effective {eff} > advertised {advertised}"
-        );
-    }
 }

@@ -83,13 +83,12 @@ fn main() {
                         f.snapshot_eta_clones
                     );
                     println!(
-                        "         solves: {} FTRAN (sparsity {:.3}), {} BTRAN ({} sparse, sparsity {:.3}), {} batched pricing cols",
+                        "         solves: {} FTRAN (sparsity {:.3}), {} BTRAN ({} sparse, sparsity {:.3})",
                         f.ftran_solves,
                         f.ftran_sparsity(),
                         f.btran_solves,
                         f.btran_sparse,
-                        f.btran_sparsity(),
-                        f.pricing_batched_cols
+                        f.btran_sparsity()
                     );
                 }
             }

@@ -1,7 +1,7 @@
 //! Experiment harness for the IPDPS 2012 reproduction.
 //!
 //! Each binary in `src/bin/` regenerates one of the paper's tables or
-//! figure families (see `DESIGN.md` §6 for the full index):
+//! figure families:
 //!
 //! * `table1` — pairwise (Y_{A,B}, S_{A,B}) matrices (Table 1);
 //! * `table2` — algorithm wall-clock table (Table 2, incl. the 512-host /

@@ -9,7 +9,7 @@
 //! and `U` upper triangular in pivot order; `P` maps pivot order to original
 //! row indices. Both ordinary and transpose solves are provided — the
 //! simplex method needs `B·x = a` (FTRAN) and `Bᵀ·y = c_B` (BTRAN) — in
-//! dense, sparsity-exploiting, and batched multi-RHS variants.
+//! dense and sparsity-exploiting variants.
 //!
 //! Because the construction is left-looking, column `j` of `L`/`U` depends
 //! only on input columns `0..=j` (and the pivot rows they chose). A new
@@ -413,45 +413,6 @@ impl SparseLu {
         }
     }
 
-    /// Solves `B·x = b` for `N` right-hand sides at once.
-    ///
-    /// Lane `i` of `b`/`out` is one right-hand side, laid out exactly as in
-    /// [`SparseLu::solve`]. The factor entries are loaded once per column
-    /// and applied to every lane, so the memory traffic over `L`/`U` is paid
-    /// once instead of `N` times. Each lane's arithmetic runs in the same
-    /// order as a scalar solve, so per-lane results equal `N` sequential
-    /// [`SparseLu::solve`] calls.
-    pub fn solve_batch<const N: usize>(&self, b: &mut [[f64; N]], out: &mut [[f64; N]]) {
-        debug_assert_eq!(b.len(), self.n);
-        debug_assert_eq!(out.len(), self.n);
-        for k in 0..self.n {
-            let w = b[self.pivot_row[k]];
-            out[k] = w;
-            for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
-                let r = self.l_rows[idx];
-                let v = self.l_vals[idx];
-                for lane in 0..N {
-                    b[r][lane] -= v * w[lane];
-                }
-            }
-        }
-        for k in (0..self.n).rev() {
-            let d = self.diag[k];
-            let mut xk = out[k];
-            for lane in 0..N {
-                xk[lane] /= d;
-            }
-            out[k] = xk;
-            for idx in self.u_ptr[k]..self.u_ptr[k + 1] {
-                let m = self.u_rows[idx];
-                let v = self.u_vals[idx];
-                for lane in 0..N {
-                    out[m][lane] -= v * xk[lane];
-                }
-            }
-        }
-    }
-
     /// Solves `B·x = b` exploiting sparsity of the right-hand side.
     ///
     /// `b` must be zero everywhere except (possibly) at the rows listed in
@@ -606,46 +567,6 @@ impl SparseLu {
             c[k] = s;
         }
         // y = Pᵀ·w.
-        for k in 0..self.n {
-            out[self.pivot_row[k]] = c[k];
-        }
-    }
-
-    /// Solves `Bᵀ·y = c` for `N` right-hand sides at once.
-    ///
-    /// Lane layout and contracts follow [`SparseLu::solve_transpose`]; the
-    /// factor is traversed once per column with every lane updated in the
-    /// scalar arithmetic order, so per-lane results equal `N` sequential
-    /// [`SparseLu::solve_transpose`] calls.
-    pub fn solve_transpose_batch<const N: usize>(&self, c: &mut [[f64; N]], out: &mut [[f64; N]]) {
-        debug_assert_eq!(c.len(), self.n);
-        debug_assert_eq!(out.len(), self.n);
-        for k in 0..self.n {
-            let mut s = c[k];
-            for idx in self.u_ptr[k]..self.u_ptr[k + 1] {
-                let v = self.u_vals[idx];
-                let cm = c[self.u_rows[idx]];
-                for lane in 0..N {
-                    s[lane] -= v * cm[lane];
-                }
-            }
-            let d = self.diag[k];
-            for lane in 0..N {
-                s[lane] /= d;
-            }
-            c[k] = s;
-        }
-        for k in (0..self.n).rev() {
-            let mut s = c[k];
-            for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
-                let v = self.l_vals[idx];
-                let cp = c[self.pivot_of_row[self.l_rows[idx]]];
-                for lane in 0..N {
-                    s[lane] -= v * cp[lane];
-                }
-            }
-            c[k] = s;
-        }
         for k in 0..self.n {
             out[self.pivot_row[k]] = c[k];
         }
@@ -983,61 +904,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_solves_match_sequential() {
-        const N: usize = 4;
-        let a = random_sparse(40, 0xabcd);
-        let refs: Vec<&[f64]> = a.iter().map(|r| r.as_slice()).collect();
-        let n = refs.len();
-        let lu = factor(&refs);
-        let mut state = 0x55aa55aau64;
-        let mut rnd = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64 / 2.0) - 1.0
-        };
-        let rhs: Vec<Vec<f64>> = (0..N).map(|_| (0..n).map(|_| rnd()).collect()).collect();
-
-        // FTRAN batch vs N scalar solves.
-        let mut b_batch: Vec<[f64; N]> =
-            (0..n).map(|i| std::array::from_fn(|l| rhs[l][i])).collect();
-        let mut x_batch = vec![[0.0f64; N]; n];
-        lu.solve_batch(&mut b_batch, &mut x_batch);
-        for (lane, r) in rhs.iter().enumerate() {
-            let mut b = r.clone();
-            let mut x = vec![0.0; n];
-            lu.solve(&mut b, &mut x);
-            for k in 0..n {
-                assert!(
-                    x_batch[k][lane] == x[k],
-                    "ftran lane {lane} pos {k}: {} vs {}",
-                    x_batch[k][lane],
-                    x[k]
-                );
-            }
-        }
-
-        // BTRAN batch vs N scalar transpose solves.
-        let mut c_batch: Vec<[f64; N]> =
-            (0..n).map(|i| std::array::from_fn(|l| rhs[l][i])).collect();
-        let mut y_batch = vec![[0.0f64; N]; n];
-        lu.solve_transpose_batch(&mut c_batch, &mut y_batch);
-        for (lane, r) in rhs.iter().enumerate() {
-            let mut c = r.clone();
-            let mut y = vec![0.0; n];
-            lu.solve_transpose(&mut c, &mut y);
-            for k in 0..n {
-                assert!(
-                    y_batch[k][lane] == y[k],
-                    "btran lane {lane} pos {k}: {} vs {}",
-                    y_batch[k][lane],
-                    y[k]
-                );
             }
         }
     }

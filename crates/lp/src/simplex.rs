@@ -33,12 +33,9 @@
 //!   scoring (`|d_j| / √(1 + ‖a_j‖²)`): a short list of attractive columns
 //!   is re-priced against fresh duals each iteration and refilled by a
 //!   rotating section scan once it goes stale; a full rotation with no
-//!   candidate proves optimality. With
-//!   [`SimplexOptions::exact_candidate_weights`] the refill finalists get
-//!   *exact* steepest-edge weights `√(1 + ‖B⁻¹a_j‖²)` from one batched
-//!   multi-RHS FTRAN ([`crate::lu::SparseLu::solve_batch`]). A long
-//!   degenerate stall switches to Bland's rule (full lowest-index scan),
-//!   restoring the termination guarantee.
+//!   candidate proves optimality. A long degenerate stall switches to
+//!   Bland's rule (full lowest-index scan), restoring the termination
+//!   guarantee.
 //! * FTRAN tracks the nonzero pattern symbolically through
 //!   [`crate::lu::SparseLu::solve_sparse`] and the eta file, so the ratio
 //!   test and basic-value updates touch only actual nonzeros. BTRAN does
@@ -74,11 +71,6 @@ pub struct SimplexOptions {
     /// The produced factorisation is bit-identical either way; turning this
     /// off exists for differential testing and benchmarking only.
     pub partial_refactor: bool,
-    /// Compute *exact* steepest-edge weights `√(1 + ‖B⁻¹a_j‖²)` for the
-    /// candidate-list refill finalists via one batched multi-RHS FTRAN,
-    /// instead of the static column norms. Changes pivot sequences
-    /// (deterministically); off by default.
-    pub exact_candidate_weights: bool,
 }
 
 impl Default for SimplexOptions {
@@ -90,7 +82,6 @@ impl Default for SimplexOptions {
             opt_tol: 1e-7,
             stall_threshold: 800,
             partial_refactor: true,
-            exact_candidate_weights: false,
         }
     }
 }
@@ -192,9 +183,6 @@ pub struct FactorStats {
     /// Total sparse-path BTRAN result length (`m` per sparse solve) —
     /// denominator for [`FactorStats::btran_sparsity`].
     pub btran_dim: u64,
-    /// Candidate columns re-weighted through batched multi-RHS FTRANs
-    /// (only nonzero with [`SimplexOptions::exact_candidate_weights`]).
-    pub pricing_batched_cols: u64,
     /// Basis snapshots taken.
     pub snapshots: u64,
     /// Snapshots that had to deep-clone the eta file (the rest reused the
@@ -232,26 +220,6 @@ impl FactorStats {
             self.btran_nnz as f64 / self.btran_dim as f64
         }
     }
-
-    /// Merges another solver's counters into this one (used when a result
-    /// aggregates several solver lifetimes).
-    pub fn absorb(&mut self, other: &FactorStats) {
-        self.refactorisations += other.refactorisations;
-        self.cols_factored += other.cols_factored;
-        self.cols_reused += other.cols_reused;
-        self.eta_folds += other.eta_folds;
-        self.fill_nnz = other.fill_nnz.max(self.fill_nnz);
-        self.ftran_solves += other.ftran_solves;
-        self.ftran_nnz += other.ftran_nnz;
-        self.ftran_dim += other.ftran_dim;
-        self.btran_solves += other.btran_solves;
-        self.btran_sparse += other.btran_sparse;
-        self.btran_nnz += other.btran_nnz;
-        self.btran_dim += other.btran_dim;
-        self.pricing_batched_cols += other.pricing_batched_cols;
-        self.snapshots += other.snapshots;
-        self.snapshot_eta_clones += other.snapshot_eta_clones;
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -273,8 +241,6 @@ const REFILL_DECAY: f64 = 0.5;
 /// Snapshots fold eta files at least this long into a fresh LU; shorter
 /// files are cheaper to clone than to refactorise away.
 const SNAPSHOT_FOLD_ETAS: usize = 16;
-/// Lanes per batched multi-RHS pricing FTRAN (exact candidate weights).
-const PRICE_BATCH: usize = 8;
 /// The dual solve takes the sparse BTRAN path when `c_B` (after the eta
 /// transpose application) touches at most this fraction of the basis.
 /// The reachability walk only beats the dense triangular sweeps when the
@@ -347,15 +313,8 @@ pub struct SimplexSolver {
     t: Vec<f64>,  // FTRAN result; zero outside t_pattern between pivots
     t_pattern: Vec<usize>,
     t_mark: Vec<bool>,
-    // batched pricing scratch (lazily sized to m)
-    batch_b: Vec<[f64; PRICE_BATCH]>,
-    batch_x: Vec<[f64; PRICE_BATCH]>,
     // pricing
     cand: Vec<usize>,
-    /// Steepest-edge weight per cached candidate (parallel to `cand`):
-    /// the static column norm, or the exact `√(1 + ‖B⁻¹a_j‖²)` when
-    /// `exact_candidate_weights` is on.
-    cand_weight: Vec<f64>,
     scan_cursor: usize,
     /// Static steepest-edge weights: `√(1 + ‖a_j‖²)` per column.
     col_norm: Vec<f64>,
@@ -461,10 +420,7 @@ impl SimplexSolver {
             t: vec![0.0; m],
             t_pattern: Vec::new(),
             t_mark: vec![false; m],
-            batch_b: Vec::new(),
-            batch_x: Vec::new(),
             cand: Vec::new(),
-            cand_weight: Vec::new(),
             scan_cursor: 0,
             col_norm,
             refill_floor: 0.0,
@@ -536,7 +492,6 @@ impl SimplexSolver {
         self.t_pattern.clear();
         self.t_mark.fill(false);
         self.cand.clear();
-        self.cand_weight.clear();
         self.scan_cursor = 0;
         self.refill_floor = 0.0;
         self.iterations = 0;
@@ -1123,9 +1078,8 @@ impl SimplexSolver {
     /// Entering eligibility of column `j` against the current duals:
     /// `(direction, |d_j|)` where direction +1 increases from the resting
     /// point and −1 decreases. Callers normalise the reduced-cost magnitude
-    /// by a steepest-edge weight (static column norm or the exact batched
-    /// weight), which picks markedly better pivots than raw Dantzig
-    /// scoring.
+    /// by the static steepest-edge column norm, which picks markedly
+    /// better pivots than raw Dantzig scoring.
     fn eligibility(&self, j: usize) -> Option<(f64, f64)> {
         match self.status[j] {
             VarStatus::Basic(_) => None,
@@ -1137,11 +1091,11 @@ impl SimplexSolver {
     }
 
     /// Prices the contiguous column run `lo..hi` against the refill sweep's
-    /// dots, appending eligible entries as `(column, direction, score,
-    /// static weight)`. Zipped slice iteration keeps the per-column cost to
-    /// a handful of branch-predictable loads — this loop sees every column
-    /// of the problem once per refill and most are rejected.
-    fn scan_run(&self, lo: usize, hi: usize, found: &mut Vec<(usize, f64, f64, f64)>) {
+    /// dots, appending eligible entries as `(column, direction, score)`.
+    /// Zipped slice iteration keeps the per-column cost to a handful of
+    /// branch-predictable loads — this loop sees every column of the
+    /// problem once per refill and most are rejected.
+    fn scan_run(&self, lo: usize, hi: usize, found: &mut Vec<(usize, f64, f64)>) {
         let tol = self.opts.opt_tol;
         for j in lo..hi {
             let (dir, absd) = match self.status[j] {
@@ -1177,8 +1131,7 @@ impl SimplexSolver {
                     }
                 }
             };
-            let nm = self.col_norm[j];
-            found.push((j, dir, absd / nm, nm));
+            found.push((j, dir, absd / self.col_norm[j]));
         }
     }
 
@@ -1228,28 +1181,20 @@ impl SimplexSolver {
             return self.price_bland();
         }
         // Re-price the cached candidates against the fresh duals; drop the
-        // ones no longer attractive. Each candidate is scored against its
-        // stored steepest-edge weight.
+        // ones no longer attractive.
         let mut cand = std::mem::take(&mut self.cand);
-        let mut weights = std::mem::take(&mut self.cand_weight);
         let mut best: Option<(usize, f64, f64)> = None;
-        let mut kept = 0usize;
-        for i in 0..cand.len() {
-            let j = cand[i];
-            if let Some((dir, absd)) = self.eligibility(j) {
-                let score = absd / weights[i];
-                if best.map(|(_, _, s)| score > s).unwrap_or(true) {
-                    best = Some((j, dir, score));
-                }
-                cand[kept] = j;
-                weights[kept] = weights[i];
-                kept += 1;
+        cand.retain(|&j| {
+            let Some((dir, absd)) = self.eligibility(j) else {
+                return false;
+            };
+            let score = absd / self.col_norm[j];
+            if best.map(|(_, _, s)| score > s).unwrap_or(true) {
+                best = Some((j, dir, score));
             }
-        }
-        cand.truncate(kept);
-        weights.truncate(kept);
+            true
+        });
         self.cand = cand;
-        self.cand_weight = weights;
         // Serve from the cache only while its best stays competitive with
         // the scores seen at the last refill; grinding a stale list down to
         // its dregs costs far more iterations than a rescan costs columns.
@@ -1262,12 +1207,11 @@ impl SimplexSolver {
         // accumulate for decent pivot diversity; a full rotation finding
         // nothing proves optimality for the current costs.
         self.cand.clear();
-        self.cand_weight.clear();
         let n_total = self.n_total();
         let section = (n_total / 4).clamp(SECTION_MIN.min(n_total), n_total);
         let mut scanned = 0usize;
-        // (column, direction, score, weight) with score = |d| / weight.
-        let mut found: Vec<(usize, f64, f64, f64)> = Vec::new();
+        // (column, direction, score) with score = |d| / col_norm.
+        let mut found: Vec<(usize, f64, f64)> = Vec::new();
         while scanned < n_total {
             let start = self.scan_cursor;
             let len = section.min(n_total - scanned);
@@ -1289,72 +1233,10 @@ impl SimplexSolver {
         }
         found.sort_unstable_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
         found.truncate(CAND_CAP);
-        if self.opts.exact_candidate_weights {
-            self.exact_reweight(&mut found);
-        }
-        self.cand.extend(found.iter().map(|&(j, _, _, _)| j));
-        self.cand_weight.extend(found.iter().map(|&(_, _, _, w)| w));
-        let (j, dir, top, _) = found[0];
+        self.cand.extend(found.iter().map(|&(j, _, _)| j));
+        let (j, dir, top) = found[0];
         self.refill_floor = top * REFILL_DECAY;
         Some((j, dir))
-    }
-
-    /// Replaces the refill finalists' static weights with exact steepest
-    /// edge weights `√(1 + ‖B⁻¹a_j‖²)`, computed through batched multi-RHS
-    /// FTRANs ([`SparseLu::solve_batch`], [`PRICE_BATCH`] lanes per pass
-    /// over the factor) plus the eta file, then re-sorts by the exact
-    /// score.
-    fn exact_reweight(&mut self, found: &mut [(usize, f64, f64, f64)]) {
-        let m = self.m;
-        if self.batch_b.len() < m {
-            self.batch_b.resize(m, [0.0; PRICE_BATCH]);
-            self.batch_x.resize(m, [0.0; PRICE_BATCH]);
-        }
-        let mut start = 0;
-        while start < found.len() {
-            let lanes = (found.len() - start).min(PRICE_BATCH);
-            for row in self.batch_b[..m].iter_mut() {
-                *row = [0.0; PRICE_BATCH];
-            }
-            for (lane, &(j, ..)) in found[start..start + lanes].iter().enumerate() {
-                let (rows, vals) = self.a.col(j);
-                for (&r, &v) in rows.iter().zip(vals) {
-                    self.batch_b[r][lane] = v;
-                }
-            }
-            self.lu
-                .as_ref()
-                .expect("factorized")
-                .solve_batch(&mut self.batch_b[..m], &mut self.batch_x[..m]);
-            let batch_x = &mut self.batch_x;
-            for eta in &self.etas {
-                let xp = batch_x[eta.pos];
-                let mut tr = [0.0f64; PRICE_BATCH];
-                for (lane, t) in tr.iter_mut().enumerate() {
-                    *t = xp[lane] / eta.pivot;
-                }
-                batch_x[eta.pos] = tr;
-                for &(p, v) in &eta.entries {
-                    let row = &mut batch_x[p];
-                    for lane in 0..PRICE_BATCH {
-                        row[lane] -= v * tr[lane];
-                    }
-                }
-            }
-            for (lane, entry) in found[start..start + lanes].iter_mut().enumerate() {
-                let mut gamma = 1.0;
-                for row in self.batch_x[..m].iter() {
-                    gamma += row[lane] * row[lane];
-                }
-                let weight = gamma.sqrt();
-                let absd = entry.2 * entry.3;
-                entry.2 = absd / weight;
-                entry.3 = weight;
-            }
-            self.stats.pricing_batched_cols += lanes as u64;
-            start += lanes;
-        }
-        found.sort_unstable_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
     }
 
     /// Bland's rule: the eligible column with the lowest index.
@@ -1849,61 +1731,6 @@ mod tests {
             !Rc::ptr_eq(&a.etas, &c.etas),
             "stale eta Rc served after pivoting"
         );
-    }
-
-    #[test]
-    fn exact_candidate_weights_matches_static_weights() {
-        // The exact steepest-edge refill weights change pivot order, not
-        // answers: statuses and objectives must agree with the static path.
-        let mut rng = 0x9e3779b97f4a7c15u64;
-        let mut rnd = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for trial in 0..20 {
-            let mut lp = LinearProgram::new();
-            lp.set_maximize(true);
-            let n = 6;
-            let vars: Vec<usize> = (0..n).map(|_| lp.add_var(0.0, 8.0, rnd() * 4.0)).collect();
-            for _ in 0..4 {
-                let coeffs: Vec<(usize, f64)> = vars
-                    .iter()
-                    .filter_map(|&v| {
-                        if rnd() < 0.7 {
-                            Some((v, rnd() * 3.0 + 0.1))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                if coeffs.is_empty() {
-                    continue;
-                }
-                lp.add_row(RowSense::Le, 6.0 + rnd() * 10.0, &coeffs);
-            }
-            let lo = vec![0.0; n];
-            let hi = vec![8.0; n];
-            let static_w = lp.solve_with_bounds(&lo, &hi, &SimplexOptions::default());
-            let exact_w = lp.solve_with_bounds(
-                &lo,
-                &hi,
-                &SimplexOptions {
-                    exact_candidate_weights: true,
-                    ..SimplexOptions::default()
-                },
-            );
-            assert_eq!(static_w.status, exact_w.status, "trial {trial}");
-            if static_w.status == LpStatus::Optimal {
-                assert!(
-                    (static_w.objective - exact_w.objective).abs() < 1e-7,
-                    "trial {trial}: static {} vs exact {}",
-                    static_w.objective,
-                    exact_w.objective
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Differential property suites for the factorisation hot-path kernels.
 //!
-//! The PR 9 rework of the pricing/factorisation path rests on three exact
-//! equivalences, each checked here against randomly generated inputs:
+//! The pricing/factorisation path rests on two exact equivalences, each
+//! checked here against randomly generated inputs:
 //!
-//! * the batched multi-right-hand-side solves produce bit-for-bit the same
-//!   lanes as the corresponding sequential solves;
 //! * the sparse (reachability-walk) transpose solve matches the dense
 //!   transpose sweep bit-for-bit and reports a nonzero pattern covering
 //!   every nonzero of the result;
@@ -16,8 +14,6 @@
 use proptest::prelude::*;
 use vmplace_lp::lu::{SolveScratch, SparseLu};
 use vmplace_lp::{LinearProgram, LpStatus, RowSense, SimplexOptions};
-
-const BATCH: usize = 4;
 
 /// Splitmix-style deterministic stream so every case is reproducible from
 /// the proptest-drawn seed alone.
@@ -60,50 +56,6 @@ fn column_of(a: &[Vec<f64>]) -> impl FnMut(usize, &mut Vec<(usize, f64)>) + '_ {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn batched_solves_match_sequential_bitwise((n, seed) in (4usize..28, 0u64..1 << 60)) {
-        let a = rand_matrix(n, seed);
-        let lu = SparseLu::factorize(n, column_of(&a)).expect("nonsingular");
-        let mut rnd = stream(seed ^ 0xabcd);
-        let rhs: Vec<Vec<f64>> = (0..BATCH)
-            .map(|_| (0..n).map(|_| rnd() * 8.0 - 4.0).collect())
-            .collect();
-
-        // Forward solves.
-        let mut packed = vec![[0.0f64; BATCH]; n];
-        let mut packed_x = vec![[0.0f64; BATCH]; n];
-        for (i, row) in packed.iter_mut().enumerate() {
-            for (lane, slot) in row.iter_mut().enumerate() {
-                *slot = rhs[lane][i];
-            }
-        }
-        lu.solve_batch(&mut packed, &mut packed_x);
-        let mut b = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        for lane in 0..BATCH {
-            b.copy_from_slice(&rhs[lane]);
-            lu.solve(&mut b, &mut x);
-            for i in 0..n {
-                prop_assert_eq!(x[i].to_bits(), packed_x[i][lane].to_bits());
-            }
-        }
-
-        // Transpose solves.
-        for (i, row) in packed.iter_mut().enumerate() {
-            for (lane, slot) in row.iter_mut().enumerate() {
-                *slot = rhs[lane][i];
-            }
-        }
-        lu.solve_transpose_batch(&mut packed, &mut packed_x);
-        for lane in 0..BATCH {
-            b.copy_from_slice(&rhs[lane]);
-            lu.solve_transpose(&mut b, &mut x);
-            for i in 0..n {
-                prop_assert_eq!(x[i].to_bits(), packed_x[i][lane].to_bits());
-            }
-        }
-    }
 
     #[test]
     fn sparse_transpose_matches_dense_bitwise((n, seed, nnz) in (4usize..28, 0u64..1 << 60, 1usize..4)) {

@@ -1,6 +1,6 @@
-//! Host-capability detection shared by everything that reports machine
-//! context next to its numbers (the stats examples, bench JSON, the
-//! `stats` wire verb).
+//! Host-capability detection for whatever reports machine context next
+//! to its numbers (the per-layer benchmark trace prints it in its context
+//! line).
 
 /// Effective CPU parallelism of this process: what
 /// `std::thread::available_parallelism` reports (which honours cgroup
@@ -8,10 +8,9 @@
 /// affinity mask in `/proc/self/status` (`Cpus_allowed_list`) where
 /// available — the larger lie wins, the smaller truth is reported.
 ///
-/// Every surface that publishes thread counts (bench JSON, the stats
-/// examples, the live `stats` snapshot) reports this one value, so a
-/// single-core container can no longer silently publish `t8 ≈ t1` rows
-/// as if they demonstrated (absent) multicore scaling.
+/// A report that publishes thread counts quotes this one value, so a
+/// single-core container cannot silently publish `t8 ≈ t1` rows as if
+/// they demonstrated (absent) multicore scaling.
 pub fn effective_parallelism() -> usize {
     let advertised = std::thread::available_parallelism()
         .map(|n| n.get())

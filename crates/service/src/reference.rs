@@ -15,8 +15,8 @@
 //!   unbudgeted traces), which simultaneously validates stream sharding,
 //!   the worker's per-stream record and its forget point, delta
 //!   application and warm seeding;
-//! * **measurement** — it is the cold baseline the service bench
-//!   amortises against (`BENCH_service.json`).
+//! * **measurement** — `vmplace replay --oneshot --no-warm` runs it as
+//!   the cold baseline a caller without the service would pay.
 
 use crate::repair::{try_repair, Repair};
 use crate::worker::{ServiceConfig, WorkerEngine, REPAIR_WINNER};

@@ -4,7 +4,7 @@
 //!   nodes with normally distributed capacities, controllable coefficient of
 //!   variation, and the CPU-/memory-held-homogeneous variants of Figures 3–4;
 //! * [`workload`] — the service generator standing in for the Google cluster
-//!   dataset (see `DESIGN.md` §4 for the substitution argument);
+//!   dataset (its module docs give the substitution argument);
 //! * [`scenario`] — complete instance generation with the paper's
 //!   memory-slack and CPU-need normalisations;
 //! * [`errors`] — the §6.2 need-estimate perturbation and the minimum-
